@@ -57,6 +57,11 @@ def _check_k(k, n):
         raise DomainError("need 1 <= k < n, got k=%d n=%d" % (k, n))
 
 
+def _check_hook(alpha, beta):
+    if alpha < 0 or beta < 0:
+        raise DomainError("alpha and beta must be nonnegative")
+
+
 def _render_expansion(out, u, coh, fmt, header):
     diag = coh.coeffs.get(u)
     diag_str = canonical_str(diag) if diag is not None else "0"
@@ -82,8 +87,7 @@ def cmd_pieri(args, out):
 
     _check_k(args.k, args.n)
     u = _parse_perm(args.u, args.n)
-    if args.alpha < 0 or args.beta < 0:
-        raise DomainError("alpha and beta must be nonnegative")
+    _check_hook(args.alpha, args.beta)
     if args.beta + 1 > args.k:
         raise DomainError("hook leg %d too tall for k=%d" % (args.beta, args.k))
     equivariant = args.equivariant == "on"
@@ -219,6 +223,7 @@ def cmd_grassmann(args, out):
     if args.op == "pieri":
         if args.alpha is None or args.beta is None:
             raise DomainError("pieri needs --alpha and --beta")
+        _check_hook(args.alpha, args.beta)
         table = parabolic_pieri(lam, args.k, args.n, (args.alpha, args.beta))
         out.write("# grassmann pieri lambda=%s k=%d n=%d alpha=%d beta=%d\n"
                   % (partition_str(lam, args.k), args.k, args.n,

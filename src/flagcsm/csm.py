@@ -1,19 +1,37 @@
 """Demazure-Lusztig operators, CSM class representatives for Schubert
-cells, expansion of classes in the CSM basis, and the brute-force product
-oracle used to verify every closed-form rule.
+cells, their fixed-point localizations, expansion of classes in the CSM
+basis, and the brute-force product oracle used to verify every
+closed-form rule.
 
 A CSM class is represented by a polynomial obtained from the point class
 (the top double Schubert polynomial) by a chain of Demazure-Lusztig
 operators.  Representatives are only well defined modulo the symmetric
 ideal, so nothing here ever asserts equality of raw representatives:
 all comparisons go through basis coefficients.
+
+The equivariant oracle never multiplies representatives.  It tabulates
+the localizations csm(w)|_u with T_i = -s_i + d_i acting on localization
+vectors, forms the product pointwise at the fixed points, and recovers
+the coefficients by the fixed-point interpolation of `schubert`
+(Goresky-Kottwitz-MacPherson).  The nonequivariant oracle keeps the
+operator-transport route (the DL walk in `expand_in_csm`), so the two
+routes check each other at t = 0.
 """
 
 from __future__ import annotations
 
 from .exact import MPoly, divide_exact_linear, ring
-from .perm import Permutation
-from .schubert import CohClass, double_schubert, expand_in_schubert, localize
+from .perm import Permutation, all_permutations
+from .schubert import (
+    _LOC_TABLE,
+    _SCHUB_CACHE,
+    CohClass,
+    double_schubert,
+    interpolate,
+    localize,
+    schubert_diagonal_factors,
+    schubert_localization,
+)
 
 
 def dl_operator(f, i, n):
@@ -88,8 +106,69 @@ def csm_class(w):
     return cur
 
 
+_CSM_LOC_TABLE = {}
+
+
+def csm_localization(w):
+    """The localizations {u: csm(w)|_u} over the support u >= w; cached
+    per n.
+
+    csm(w0) is the point class, supported at w0 alone.  Otherwise take an
+    ascent i of w (w(i) < w(i+1)), so csm(w) = T_i csm(w s_i), and
+    localize T_i = -s_i + d_i: with w' = w s_i,
+
+        csm(w)|_u = (csm(w')|_u - csm(w')|_{u s_i}) / (t_{u(i)} - t_{u(i+1)})
+                    - csm(w')|_{u s_i}.
+
+    The quotient is the same at u and u s_i, so it is computed once per
+    pair; each division must be exact."""
+    n = w.n
+    table = _CSM_LOC_TABLE.setdefault(n, {})
+    hit = table.get(w)
+    if hit is not None:
+        return hit
+    w0 = Permutation.longest(n)
+    if w == w0:
+        vec = {w0: localize(double_schubert(w0), w0)}
+    else:
+        i = next(i for i in range(1, n) if w(i) < w(i + 1))
+        s = Permutation.transposition(i, i + 1, n)
+        prev = csm_localization(w.compose(s))
+        rg = ring(n)
+        zero = rg.zero
+        vec = {}
+        pairs = dict.fromkeys(u if u(i) < u(i + 1) else u.compose(s)
+                              for u in prev)
+        for u in pairs:
+            us = u.compose(s)
+            a, b = prev.get(u, zero), prev.get(us, zero)
+            q = divide_exact_linear(a - b, rg.t(u(i)) - rg.t(u(i + 1)))
+            for point, val in ((u, q - b), (us, q - a)):
+                if not val.is_zero():
+                    vec[point] = val
+    table[w] = vec
+    return vec
+
+
+def _csm_lookup(v, w):
+    return csm_localization(v).get(w)
+
+
+def csm_diagonal_factors(w):
+    """The linear factors of csm(w)|_w: those of the Schubert diagonal,
+    t_{w(a)} - t_{w(b)} per inversion, and 1 + t_{w(a)} - t_{w(b)} per
+    pair a < b with w(a) < w(b)."""
+    rg = ring(w.n)
+    out = schubert_diagonal_factors(w)
+    for a in range(1, w.n + 1):
+        for b in range(a + 1, w.n + 1):
+            if w(a) < w(b):
+                out.append(rg.one + rg.t(w(a)) - rg.t(w(b)))
+    return out
+
+
 _PACK_BITS = 5
-_PACK_MAX = 15  # headroom: localization sums two exponents per slot
+_PACK_MAX = (1 << _PACK_BITS) - 1  # T_i never raises an exponent
 
 
 def _pack_terms(p):
@@ -104,11 +183,6 @@ def _pack_terms(p):
             key |= d << (_PACK_BITS * i)
         out[key] = c
     return out
-
-
-def _unpack_key(key, nvars):
-    mask = (1 << _PACK_BITS) - 1
-    return tuple((key >> (_PACK_BITS * i)) & mask for i in range(nvars))
 
 
 def _dl_packed(terms, a, b):
@@ -155,12 +229,6 @@ def csm_class_nonequivariant(w):
     return csm_class(w).specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
 
 
-def _one_plus_root_factors(n):
-    rg = ring(n)
-    return [rg.one + rg.t(i) - rg.t(j)
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
 def _min_left_descent(w):
     inv = w.inverse()
     for i in range(1, w.n):
@@ -173,38 +241,19 @@ def expand_in_csm(f, n, equivariant=True):
     """Coefficients c^w(t) with f = sum c^w csm(w) modulo the symmetric
     ideal.
 
-    Walks a spanning tree of left multiplications in weak order, so each
-    permutation costs one operator application; the coefficient at w is
-    the identity-localization of T_w(f), divided exactly by the product
-    of all 1 + t_i - t_j.  In the nonequivariant case (f free of t) the
-    divisor is 1 and localization is evaluation at x = 0."""
+    Equivariantly: fixed-point interpolation of the localizations of f in
+    the CSM basis.  Nonequivariantly (f free of t): walks a spanning tree
+    of left multiplications in weak order, so each permutation costs one
+    operator application; the coefficient at w is T_w(f) at x = 0."""
+    if equivariant:
+        points = all_permutations(n)
+        return interpolate("csm", points, [localize(f, w) for w in points],
+                           _csm_lookup, csm_diagonal_factors)
     rg = ring(n)
-    out = CohClass("csm", equivariant)
-    factors = _one_plus_root_factors(n) if equivariant else None
-    idperm = Permutation.identity(n)
-    bits = _PACK_BITS
-    xmask = sum(((1 << bits) - 1) << (bits * i) for i in range(n))
+    out = CohClass("csm", False)
+    xmask = sum(((1 << _PACK_BITS) - 1) << (_PACK_BITS * i) for i in range(n))
 
     def coefficient_packed(terms):
-        if equivariant:
-            # x_i -> t_i is one shift: the x block lands on the t block
-            loc = {}
-            get = loc.get
-            for key, c in terms.items():
-                head = key & xmask
-                k = (key - head) + (head << (bits * n)) if head else key
-                v = get(k, 0) + c
-                if v:
-                    loc[k] = v
-                elif k in loc:
-                    del loc[k]
-            if not loc:
-                return None
-            val = MPoly(rg.nvars)
-            val.terms = {_unpack_key(k, rg.nvars): c for k, c in loc.items()}
-            for form in factors:
-                val = divide_exact_linear(val, form)
-            return val
         const = 0
         for key, c in terms.items():
             if not key & xmask:
@@ -214,13 +263,6 @@ def expand_in_csm(f, n, equivariant=True):
         return const if const else None
 
     def coefficient_poly(fw):
-        if equivariant:
-            val = localize(fw, idperm)
-            if val.is_zero():
-                return None
-            for form in factors:
-                val = divide_exact_linear(val, form)
-            return val
         val = fw.specialize({rg.x_slot(i): 0 for i in range(1, n + 1)})
         if val.is_zero():
             return None
@@ -234,7 +276,7 @@ def expand_in_csm(f, n, equivariant=True):
         else:
             c = coefficient_poly(fw)
         if c is not None:
-            out.add(w, c if equivariant else rg.const(c))
+            out.add(w, rg.const(c))
         lw = w.length()
         for i in range(1, n):
             w2 = Permutation.transposition(i, i + 1, n).compose(w)
@@ -250,17 +292,37 @@ def expand_in_csm(f, n, equivariant=True):
 
 
 def oracle_product(u, g, basis, equivariant=True):
-    """Brute-force product: multiply the representative of u's class (CSM
-    or Schubert) by g as raw polynomials, then expand in the requested
-    basis.  The independent verifier for every closed-form rule."""
+    """Brute-force product of u's class (CSM or Schubert) by g.
+
+    Equivariantly, and in the Schubert basis, the product is formed
+    pointwise, basis(u)|_w * g|_w over the support of u's class, and
+    interpolated; the product polynomial is never built.  The
+    nonequivariant CSM product multiplies the t = 0 representatives and
+    walks Demazure-Lusztig operators.  The independent verifier for every
+    closed-form rule."""
     n = u.n
     rg = ring(n)
     if basis == "csm":
-        if equivariant:
-            return expand_in_csm(csm_class(u) * g, n, True)
-        g0 = g.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
-        return expand_in_csm(csm_class_nonequivariant(u) * g0, n, False)
-    if basis == "schubert":
-        got = expand_in_schubert(double_schubert(u) * g, n)
-        return got if equivariant else got.specialize_t0()
-    raise ValueError("basis must be 'csm' or 'schubert'")
+        if not equivariant:
+            g0 = g.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
+            return expand_in_csm(csm_class_nonequivariant(u) * g0, n, False)
+        support = csm_localization(u)
+        loc, diagonal = _csm_lookup, csm_diagonal_factors
+    elif basis == "schubert":
+        support = {w: schubert_localization(u, w) for w in all_permutations(n)
+                   if u.bruhat_le(w)}
+        loc, diagonal = schubert_localization, schubert_diagonal_factors
+    else:
+        raise ValueError("basis must be 'csm' or 'schubert'")
+    points = [w for w in all_permutations(n) if w in support]
+    got = interpolate(basis, points,
+                      [support[w] * localize(g, w) for w in points],
+                      loc, diagonal)
+    return got if equivariant else got.specialize_t0()
+
+
+def clear_caches():
+    """Empty every per-n memo table: Schubert polynomials, CSM
+    representatives, Schubert localizations and CSM localizations."""
+    for table in (_SCHUB_CACHE, _CSM_CACHE, _LOC_TABLE, _CSM_LOC_TABLE):
+        table.clear()

@@ -84,9 +84,6 @@ class MPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def max_exponent(self, idx):
-        return max((e[idx] for e in self.terms), default=0)
-
     def involved_vars(self):
         out = set()
         for e in self.terms:
@@ -216,29 +213,6 @@ class MPoly:
                     term = term * MPoly(self.nvars, {tuple(f): 1})
             out = out + term
         return out
-
-    def remap_vars(self, slot_map):
-        """Substitute variables by variables: slot i -> slot slot_map[i].
-
-        Much faster than `substitute` for pure variable renamings (several
-        slots may map to the same target).
-        """
-        out = {}
-        get = out.get
-        for e, c in self.terms.items():
-            f = [0] * self.nvars
-            for i, d in enumerate(e):
-                if d:
-                    f[slot_map.get(i, i)] += d
-            key = tuple(f)
-            s = get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        p = MPoly(self.nvars)
-        p.terms = out
-        return p
 
     def specialize(self, values):
         """Substitute scalars for the slots in `values` (slot -> number)."""
@@ -588,12 +562,6 @@ class UPoly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def evaluate(self, v):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
 
     def __repr__(self):
         if self.is_zero():

@@ -1,10 +1,15 @@
 """Double Schubert polynomials, divided-difference operators, fixed-point
-localization, and expansion of equivariant classes in the Schubert basis.
+localization, and expansion of equivariant classes by fixed-point
+interpolation.
 
-Expansion works by triangular interpolation over the torus-fixed points:
-processing permutations along a linear extension of Bruhat order, each
-coefficient is the residual localization divided (exactly) by the diagonal
-value, which is a product of linear forms t_i - t_j.
+A class is determined by its localizations at the torus-fixed points
+(the permutations).  `interpolate` recovers its coefficients in a basis
+whose element v localizes to zero at every w not above v in Bruhat
+order: processing the points along a linear extension of Bruhat order,
+each coefficient is the residual localization divided (exactly) by the
+basis element's diagonal value, a product of linear forms.  The Schubert
+basis has diagonal factors t_i - t_j; the CSM basis (`csm`) shares the
+loop with one more factor 1 + t_i - t_j per non-inversion.
 """
 
 from __future__ import annotations
@@ -184,9 +189,9 @@ def schubert_diagonal_factors(u):
 _LOC_TABLE = {}
 
 
-def _schubert_localization(n, v, u):
+def schubert_localization(v, u):
     """Cached S_v(ut, t)."""
-    table = _LOC_TABLE.setdefault(n, {})
+    table = _LOC_TABLE.setdefault(v.n, {})
     key = (v, u)
     hit = table.get(key)
     if hit is None:
@@ -195,26 +200,37 @@ def _schubert_localization(n, v, u):
     return hit
 
 
-def expand_in_schubert(f, n):
-    """Coefficients c_w(t) with f = sum c_w S_w(x,t) modulo the symmetric
-    ideal, by interpolation over fixed points in a linear extension of
-    Bruhat order.  Divisions by the diagonal factors must be exact."""
+def interpolate(basis, points, values, loc, diagonal):
+    """The class with localization values[j] at points[j] and zero at
+    every other fixed point, expanded in a triangular basis.
+
+    `points` run in `all_permutations` order (a linear extension of Bruhat
+    order); `loc(v, w)` is the basis element v at the point w, None or zero
+    unless v <= w; `diagonal(w)` lists the linear factors of loc(w, w).
+    Divisions by those factors must be exact."""
     coeffs = {}
-    for u in all_permutations(n):
-        val = localize(f, u)
+    for w, val in zip(points, values):
         for v, cv in coeffs.items():
-            sv = _schubert_localization(n, v, u)
-            if not sv.is_zero():
+            sv = loc(v, w)
+            if sv is not None and not sv.is_zero():
                 val = val - cv * sv
         if val.is_zero():
             continue
-        for form in schubert_diagonal_factors(u):
+        for form in diagonal(w):
             val = divide_exact_linear(val, form)
-        coeffs[u] = val
-    out = CohClass("schubert", True)
+        coeffs[w] = val
+    out = CohClass(basis, True)
     for w, c in coeffs.items():
         out.add(w, c)
     return out
+
+
+def expand_in_schubert(f, n):
+    """Coefficients c_w(t) with f = sum c_w S_w(x,t) modulo the symmetric
+    ideal, by interpolation over all fixed points."""
+    points = all_permutations(n)
+    return interpolate("schubert", points, [localize(f, u) for u in points],
+                       schubert_localization, schubert_diagonal_factors)
 
 
 def giambelli_hook(alpha, beta, k, n):

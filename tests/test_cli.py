@@ -108,6 +108,13 @@ def test_domain_error_exit_3():
     assert code == EXIT_DOMAIN
 
 
+def test_grassmann_negative_hook_exit_3():
+    for hook in (["--alpha=-1", "--beta=0"], ["--alpha=0", "--beta=-2"]):
+        code, got = run(["grassmann", "--op", "pieri", "--lam", "2,1,0",
+                         "--k", "3", "--n", "6"] + hook)
+        assert code == EXIT_DOMAIN and got == ""
+
+
 def test_rht_methods_single():
     code, got = run(["rht", "--outer", "4,4,1", "--inner", "1", "--r", "2",
                      "--method", "enumerate"])

@@ -1,8 +1,12 @@
 import random
 
+from flagcsm import csm, schubert
 from flagcsm.csm import (
+    clear_caches,
     csm_class,
     csm_class_nonequivariant,
+    csm_diagonal_factors,
+    csm_localization,
     dl_operator,
     expand_in_csm,
     oracle_product,
@@ -186,3 +190,53 @@ def test_nonequivariant_csm_schubert_positive_s4():
         for c in got.coeffs.values():
             v = c.constant_value()
             assert v == int(v) and v >= 0
+
+
+def test_csm_localization_table_matches_representatives():
+    # the T_i recursion on localization vectors against localizing the
+    # operator-transported representatives; off the support both vanish.
+    # The diagonal factors the interpolation divides by multiply out to
+    # the diagonal entry.
+    for n in (2, 3, 4):
+        for w in all_permutations(n):
+            table = csm_localization(w)
+            diag = ring(n).one
+            for form in csm_diagonal_factors(w):
+                diag = diag * form
+            assert table[w] == diag
+            for u in all_permutations(n):
+                loc = localize(csm_class(w), u)
+                if u in table:
+                    assert table[u] == loc and not loc.is_zero()
+                else:
+                    assert loc.is_zero()
+
+
+def test_oracle_routes_agree_at_t0_s4():
+    # the nonequivariant oracle (Demazure-Lusztig transport) against the
+    # equivariant one (fixed-point localization) at t = 0, on the
+    # multipliers of acceptance criterion C5
+    hooks = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    n = 4
+    for u in all_permutations(n):
+        for k in (1, 2, 3):
+            gs = [schur_hook(n, a, b, x_range(k)) for a, b in hooks] \
+                + [power_sum(n, r, x_range(k)) for r in (1, 2, 3)]
+            for g in gs:
+                assert oracle_product(u, g, "csm", False) == \
+                    oracle_product(u, g, "csm", True).specialize_t0(), (u, k)
+
+
+def test_clear_caches():
+    n = 4
+    u = P("2143")
+    g = schur_hook(n, 1, 1, x_range(2))
+    want = {b: oracle_product(u, g, b) for b in ("csm", "schubert")}
+    csm_class(u)
+    tables = (schubert._SCHUB_CACHE, csm._CSM_CACHE, schubert._LOC_TABLE,
+              csm._CSM_LOC_TABLE)
+    assert all(tables)
+    clear_caches()
+    assert not any(tables)
+    for b, coh in want.items():
+        assert oracle_product(u, g, b) == coh

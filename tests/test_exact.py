@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagcsm.exact import (
     CycloElt,
@@ -228,3 +230,40 @@ def test_cyclo_inverse():
             continue
         prod = elt * elt.inverse()
         assert prod == 1
+
+
+# property tests for the two form types the localization oracle divides
+# by: t_a - t_b (the T_i recursion and Schubert diagonals) and
+# 1 + t_a - t_b (CSM diagonals)
+
+_N = 3
+_RG = ring(_N)
+_exponents = st.tuples(*[st.integers(0, 3)] * (2 * _N)).map(
+    lambda e: e + (0, 0))
+_coeffs = st.one_of(st.integers(-5, 5),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4)).filter(bool)
+_polys = st.dictionaries(_exponents, _coeffs, max_size=6).map(
+    lambda terms: MPoly(_RG.nvars, terms))
+_pairs = st.tuples(st.integers(1, _N), st.integers(1, _N)).filter(
+    lambda ab: ab[0] != ab[1])
+
+
+def _form(pair, shifted):
+    a, b = pair
+    form = _RG.t(a) - _RG.t(b)
+    return _RG.one + form if shifted else form
+
+
+@given(_polys, _pairs, st.booleans())
+def test_divide_exact_linear_inverts_multiplication(p, pair, shifted):
+    form = _form(pair, shifted)
+    assert divide_exact_linear(p * form, form) == p
+
+
+@given(_polys, _pairs, st.booleans())
+def test_divide_exact_linear_rejects_remainder(p, pair, shifted):
+    # p * form + 1 is 1 on the zero set of the form, so never divisible
+    form = _form(pair, shifted)
+    with pytest.raises(ExactnessError):
+        divide_exact_linear(p * form + 1, form)

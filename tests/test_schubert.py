@@ -114,12 +114,15 @@ def test_localization_vanishing_s3():
 
         return rec(0, Permutation.identity(n))
 
-    # subword property: scan letters of w's word left to right
-    for u in all_permutations(3):
-        su = double_schubert(u)
-        for w in all_permutations(3):
-            vanishes = localize(su, w).is_zero()
-            assert vanishes == (not bruhat_leq(u, w))
+    # subword property: scan letters of w's word left to right; the
+    # tableau criterion of Permutation.bruhat_le must agree
+    for n in (3, 4):
+        for u in all_permutations(n):
+            su = double_schubert(u)
+            for w in all_permutations(n):
+                vanishes = localize(su, w).is_zero()
+                assert vanishes == (not bruhat_leq(u, w))
+                assert vanishes == (not u.bruhat_le(w))
 
 
 def test_diagonal_factors_match_localization():
