@@ -186,7 +186,7 @@ def enumerate_paths(u, k, shape, cover_only=False):
         def accept(state, path):
             return (state or (0, None))[0] == r
 
-    elif kind == "peakless":
+    elif kind in ("peakless", "peakless_le"):
         a, b = shape[1], shape[2]
 
         def prune(state, tau):
@@ -204,29 +204,11 @@ def enumerate_paths(u, k, shape, cover_only=False):
             return None
 
         def accept(state, path):
+            if kind == "peakless_le":
+                return True
             if state is None:
                 return a == 0 and b == 0  # the length-0 path
             return state[0] == a and state[1] == b
-
-    elif kind == "peakless_le":
-        a, b = shape[1], shape[2]
-
-        def prune(state, tau):
-            inc, dec, last, phase = state or (0, 0, None, "start")
-            if last is None:
-                return (0, 0, tau, "first")
-            if tau < last and phase in ("first", "down"):
-                if dec + 1 > b:
-                    return None
-                return (inc, dec + 1, tau, "down")
-            if tau > last:
-                if inc + 1 > a:
-                    return None
-                return (inc + 1, dec, tau, "up")
-            return None
-
-        def accept(state, path):
-            return True
 
     elif kind == "unimodal":
         a, b = shape[1], shape[2]

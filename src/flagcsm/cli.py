@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .exact import canonical_str
@@ -28,18 +27,6 @@ EXIT_CONJECTURE = 5
 
 class DomainError(ValueError):
     pass
-
-
-def _threads(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("FLAGCSM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError("FLAGCSM_THREADS is not an integer: %r" % env)
-    return 1
 
 
 def _parse_perm(text, n):
@@ -243,7 +230,7 @@ def cmd_grassmann(args, out):
     return 0
 
 
-def _scan_product_mode(n, threads):
+def _scan_product_mode(n):
     from .csm import csm_class_nonequivariant, expand_in_csm
     from .perm import all_permutations
     from .schubert import double_schubert
@@ -254,27 +241,15 @@ def _scan_product_mode(n, threads):
     perms = all_permutations(n)
     singles = {v: double_schubert(v).specialize(t0) for v in perms}
 
-    def check(u):
-        bad = []
+    violations = []
+    for u in perms:
         base = csm_class_nonequivariant(u)
         for v in perms:
             got = expand_in_csm(base * singles[v], n, equivariant=False)
             for w, c in got.coeffs.items():
                 val = c.constant_value()
                 if val != int(val) or val < 0:
-                    bad.append((str(u), str(v), str(w), str(val)))
-        return bad
-
-    violations = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for bad in pool.map(check, perms):
-                violations.extend(bad)
-    else:
-        for u in perms:
-            violations.extend(check(u))
+                    violations.append((str(u), str(v), str(w), str(val)))
     return len(perms) ** 2, sorted(violations)
 
 
@@ -296,9 +271,8 @@ def _scan_schubert_mode(n):
 def cmd_scan_positivity(args, out):
     if args.n < 1:
         raise DomainError("n must be positive")
-    threads = _threads(args)
     if args.mode == "product":
-        cases, violations = _scan_product_mode(args.n, threads)
+        cases, violations = _scan_product_mode(args.n)
         label = "pairs"
     else:
         cases, violations = _scan_schubert_mode(args.n)
@@ -318,9 +292,6 @@ def build_parser():
         prog="flagcsm",
         description="Exact CSM/Schubert class products in the type-A flag "
                     "variety, Bruhat path rules, and rim hook counting.")
-    top.add_argument("--threads", type=int, default=None,
-                     help="worker threads for scans (default: "
-                          "FLAGCSM_THREADS or 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pieri", help="hook Schur polynomial times a class")

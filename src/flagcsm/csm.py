@@ -20,7 +20,7 @@ routes check each other at t = 0.
 
 from __future__ import annotations
 
-from .exact import MPoly, divide_exact_linear, ring
+from .exact import divide_exact_linear, divided_difference, ring
 from .perm import Permutation, all_permutations
 from .schubert import (
     _LOC_TABLE,
@@ -35,46 +35,10 @@ from .schubert import (
 
 
 def dl_operator(f, i, n):
-    """T_i = -s_i + d_i: negated swap of x_i, x_{i+1} plus the divided
-    difference.  An involution satisfying the braid relations.
-
-    Fused single pass over the terms: each monomial emits its divided-
-    difference summands and its negated swap at once."""
+    """T_i = -s_i + d_i on x_i, x_{i+1}: an involution satisfying the braid
+    relations (the swap=-1 case of `divided_difference`)."""
     rg = ring(n)
-    a, b = rg.x_slot(i), rg.x_slot(i + 1)
-    out = {}
-    get = out.get
-    for e, c in f.terms.items():
-        p, q = e[a], e[b]
-        if p == q:
-            key = e
-        else:
-            if p > q:
-                lo, hi, sgn = q, p, c
-            else:
-                lo, hi, sgn = p, q, -c
-            base = list(e)
-            tot = p + q - 1
-            for s in range(lo, hi):
-                base[a] = s
-                base[b] = tot - s
-                key = tuple(base)
-                v = get(key, 0) + sgn
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-            base[a] = q
-            base[b] = p
-            key = tuple(base)
-        v = get(key, 0) - c
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    r = MPoly(f.nvars)
-    r.terms = out
-    return r
+    return divided_difference(f, rg.x_slot(i), rg.x_slot(i + 1), swap=-1)
 
 
 _CSM_CACHE = {}
@@ -167,61 +131,6 @@ def csm_diagonal_factors(w):
     return out
 
 
-_PACK_BITS = 5
-_PACK_MAX = (1 << _PACK_BITS) - 1  # T_i never raises an exponent
-
-
-def _pack_terms(p):
-    """Exponent tuples packed into ints, 5 bits per slot; None when some
-    exponent is too large for the packed form."""
-    out = {}
-    for e, c in p.terms.items():
-        key = 0
-        for i, d in enumerate(e):
-            if d > _PACK_MAX:
-                return None
-            key |= d << (_PACK_BITS * i)
-        out[key] = c
-    return out
-
-
-def _dl_packed(terms, a, b):
-    """The Demazure-Lusztig kernel on packed exponent keys."""
-    bits = _PACK_BITS
-    mask = (1 << bits) - 1
-    sa, sb = bits * a, bits * b
-    out = {}
-    get = out.get
-    for key, c in terms.items():
-        p = (key >> sa) & mask
-        q = (key >> sb) & mask
-        if p == q:
-            k2 = key
-        else:
-            base = key - (p << sa) - (q << sb)
-            if p > q:
-                lo, hi, sgn = q, p, c
-            else:
-                lo, hi, sgn = p, q, -c
-            tot = p + q - 1
-            k = base + (lo << sa) + ((tot - lo) << sb)
-            step = (1 << sa) - (1 << sb)
-            for _ in range(lo, hi):
-                v = get(k, 0) + sgn
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-                k += step
-            k2 = base + (q << sa) + (p << sb)
-        v = get(k2, 0) - c
-        if v:
-            out[k2] = v
-        elif k2 in out:
-            del out[k2]
-    return out
-
-
 def csm_class_nonequivariant(w):
     """The t = 0 specialization of the CSM representative."""
     n = w.n
@@ -242,52 +151,31 @@ def expand_in_csm(f, n, equivariant=True):
     ideal.
 
     Equivariantly: fixed-point interpolation of the localizations of f in
-    the CSM basis.  Nonequivariantly (f free of t): walks a spanning tree
-    of left multiplications in weak order, so each permutation costs one
-    operator application; the coefficient at w is T_w(f) at x = 0."""
+    the CSM basis.  Nonequivariantly f must be free of t, q and z (else
+    ValueError): walks a spanning tree of left multiplications in weak
+    order, so each permutation costs one operator application; the
+    coefficient at w is the constant term of T_w(f)."""
     if equivariant:
         points = all_permutations(n)
         return interpolate("csm", points, [localize(f, w) for w in points],
                            _csm_lookup, csm_diagonal_factors)
+    if any(any(e[n:]) for e in f.terms):
+        raise ValueError("nonequivariant expansion needs t-free input")
     rg = ring(n)
+    zero = (0,) * f.nvars
     out = CohClass("csm", False)
-    xmask = sum(((1 << _PACK_BITS) - 1) << (_PACK_BITS * i) for i in range(n))
-
-    def coefficient_packed(terms):
-        const = 0
-        for key, c in terms.items():
-            if not key & xmask:
-                if key:
-                    raise ValueError("nonequivariant expansion needs t-free input")
-                const += c
-        return const if const else None
-
-    def coefficient_poly(fw):
-        val = fw.specialize({rg.x_slot(i): 0 for i in range(1, n + 1)})
-        if val.is_zero():
-            return None
-        return val.constant_value()
-
-    packed = _pack_terms(f)
 
     def rec(w, fw):
-        if packed is not None:
-            c = coefficient_packed(fw)
-        else:
-            c = coefficient_poly(fw)
-        if c is not None:
+        c = fw.terms.get(zero)
+        if c:
             out.add(w, rg.const(c))
         lw = w.length()
         for i in range(1, n):
             w2 = Permutation.transposition(i, i + 1, n).compose(w)
             if w2.length() == lw + 1 and _min_left_descent(w2) == i:
-                if packed is not None:
-                    child = _dl_packed(fw, rg.x_slot(i), rg.x_slot(i + 1))
-                else:
-                    child = dl_operator(fw, i, n)
-                rec(w2, child)
+                rec(w2, dl_operator(fw, i, n))
 
-    rec(Permutation.identity(n), packed if packed is not None else f)
+    rec(Permutation.identity(n), f)
     return out
 
 

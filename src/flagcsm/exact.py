@@ -70,9 +70,6 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
     def constant_value(self):
         if not self.terms:
             return 0
@@ -177,19 +174,6 @@ class MPoly:
 
     # -- structural operations
 
-    def swap_vars(self, i, j):
-        """Image under the transposition of variable slots i and j."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] != e[j]:
-                f = list(e)
-                f[i], f[j] = f[j], f[i]
-                e = tuple(f)
-            out[e] = c
-        p = MPoly(self.nvars)
-        p.terms = out
-        return p
-
     def substitute(self, mapping):
         """Ring homomorphism sending slot i to mapping[i]; slots absent
         from the mapping are fixed."""
@@ -241,34 +225,49 @@ class MPoly:
         return "MPoly(%s)" % canonical_str(self)
 
 
-def divided_difference(f, i, j):
-    """(f - f with slots i,j swapped) / (v_i - v_j), computed termwise.
+def divided_difference(f, i, j, swap=0):
+    """d_ij f + swap * s_ij f in one termwise pass, where s_ij swaps slots
+    i and j and d_ij f = (f - s_ij f) / (v_i - v_j).
 
-    The quotient of v_i^p v_j^q - v_i^q v_j^p by v_i - v_j is the signed
-    complete sum of monomials v_i^s v_j^{p+q-1-s}, so no actual division
-    is performed and exactness is automatic.
+    swap=0 gives the divided difference; swap=-1 gives the Demazure-Lusztig
+    operator T = -s + d.  The quotient of v_i^p v_j^q - v_i^q v_j^p by
+    v_i - v_j is the signed complete sum of monomials v_i^s v_j^{p+q-1-s},
+    so no actual division is performed and exactness is automatic.
     """
     out = {}
     get = out.get
     for e, c in f.terms.items():
         p, q = e[i], e[j]
         if p == q:
-            continue
-        if p > q:
-            lo, hi, sgn = q, p, c
+            if not swap:
+                continue
+            key = e
         else:
-            lo, hi, sgn = p, q, -c
-        base = list(e)
-        tot = p + q - 1
-        for s in range(lo, hi):
-            base[i] = s
-            base[j] = tot - s
+            if p > q:
+                lo, hi, sgn = q, p, c
+            else:
+                lo, hi, sgn = p, q, -c
+            base = list(e)
+            tot = p + q - 1
+            for s in range(lo, hi):
+                base[i] = s
+                base[j] = tot - s
+                key = tuple(base)
+                v = get(key, 0) + sgn
+                if v:
+                    out[key] = v
+                elif key in out:
+                    del out[key]
+            if not swap:
+                continue
+            base[i] = q
+            base[j] = p
             key = tuple(base)
-            v = get(key, 0) + sgn
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        v = get(key, 0) + swap * c
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
     r = MPoly(f.nvars)
     r.terms = out
     return r

@@ -163,36 +163,26 @@ def mn_csm(u, k, r, equivariant=True):
     Cycles eta of each length r'+1 <= r+1 with u below u.eta contribute
     (-1)^{k-height} h_{r-r'} on the t-variables u M(eta); the
     nonequivariant rule keeps only r' = r with coefficient the sign."""
-    n = u.n
-    rg = ring(n)
-    out = CohClass("csm", equivariant)
-    if equivariant:
-        out.add(u, power_sum(n, r, _diag_subset(u, k)))
-    for cyc, eta in cycles_through(u, k, r):
-        rp = len(cyc) - 1
-        w = u.compose(eta)
-        sign = -1 if eta.k_height(k) % 2 else 1
-        if equivariant:
-            moved = tuple(sorted(u(i) for i in eta.nonfixed_set()))
-            out.add(w, sign * complete_sym(n, r - rp, ts(*moved)))
-        elif rp == r:
-            out.add(w, rg.const(sign))
-    return out
+    return _mn(u, k, r, equivariant, basis="csm")
 
 
 def mn_schubert(u, k, r, equivariant=True):
     """The Schubert-basis Murnaghan-Nakayama rule: as `mn_csm` but keeping
     only cycles with l(u.eta) = l(u) + r'."""
+    return _mn(u, k, r, equivariant, basis="schubert")
+
+
+def _mn(u, k, r, equivariant, basis):
     n = u.n
     rg = ring(n)
-    out = CohClass("schubert", equivariant)
+    out = CohClass(basis, equivariant)
     if equivariant:
         out.add(u, power_sum(n, r, _diag_subset(u, k)))
     lu = u.length()
     for cyc, eta in cycles_through(u, k, r):
         rp = len(cyc) - 1
         w = u.compose(eta)
-        if w.length() != lu + rp:
+        if basis == "schubert" and w.length() != lu + rp:
             continue
         sign = -1 if eta.k_height(k) % 2 else 1
         if equivariant:

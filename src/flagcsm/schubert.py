@@ -62,14 +62,10 @@ class CohClass:
                 and self.coeffs == other.coeffs)
 
 
-def demazure_ab(f, a, b, n):
-    """The divided difference (f - f with x_a, x_b swapped)/(x_a - x_b)."""
-    rg = ring(n)
-    return divided_difference(f, rg.x_slot(a), rg.x_slot(b))
-
-
 def demazure_i(f, i, n):
-    return demazure_ab(f, i, i + 1, n)
+    """The divided difference d_i on x_i, x_{i+1}."""
+    rg = ring(n)
+    return divided_difference(f, rg.x_slot(i), rg.x_slot(i + 1))
 
 
 def localize(f, w):

@@ -143,12 +143,6 @@ def test_scan_positivity_small():
     assert code == 0 and "violations=0" in got
 
 
-def test_scan_positivity_threads_flag():
-    code, got = run(["--threads", "2", "scan-positivity", "--n", "2",
-                     "--mode", "product"])
-    assert code == 0 and "violations=0" in got
-
-
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])
@@ -157,9 +151,3 @@ def test_nonequivariant_table_output():
     assert lines[0] == "diagonal 1234 0"
     for ln in lines[1:]:
         assert ln.split()[1] == "1"
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("FLAGCSM_THREADS", "2")
-    code, got = run(["scan-positivity", "--n", "2", "--mode", "product"])
-    assert code == 0 and "violations=0" in got

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from flagcsm import csm, schubert
 from flagcsm.csm import (
     clear_caches,
@@ -58,7 +60,7 @@ def test_dl_leibniz():
     for _ in range(20):
         f, g = rand_poly(3, rnd), rand_poly(3, rnd)
         lhs = dl_operator(f * g, 1, 3)
-        rhs = dl_operator(f, 1, 3) * g.swap_vars(a, b) \
+        rhs = dl_operator(f, 1, 3) * g.substitute({a: rg.x(2), b: rg.x(1)}) \
             + f * divided_difference(g, a, b)
         assert lhs == rhs
 
@@ -154,6 +156,24 @@ def test_expand_csm_times_p3():
     assert got.coeffs[P("43152")] == t(2) ** 2 + t(2) * t(4) + t(4) ** 2
     assert got.coeffs[P("53142")] == t(2) + t(4) + t(5)
     assert len(got.coeffs) == 12
+
+
+def test_expand_nonequivariant_high_degree():
+    # T_w lowers degree by at most l(w) <= 3, so only -3*x1 reaches x = 0
+    rg = ring(3)
+    x = rg.x
+    got = expand_in_csm(x(1) ** 33 * x(2) ** 5 + x(3) ** 40, 3, False)
+    assert got.coeffs == {}
+    got = expand_in_csm(x(2) ** 12 - 3 * x(1), 3, False)
+    assert {str(w): c.constant_value() for w, c in got.coeffs.items()} \
+        == {"213": -3, "231": 3, "312": 6, "321": -6}
+
+
+def test_expand_nonequivariant_rejects_t_q_z():
+    rg = ring(3)
+    for f in (rg.t(1), rg.q, rg.x(1) * rg.z, rg.x(1) ** 40 * rg.t(2)):
+        with pytest.raises(ValueError):
+            expand_in_csm(f, 3, False)
 
 
 def test_oracle_basics():

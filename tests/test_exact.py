@@ -267,3 +267,47 @@ def test_divide_exact_linear_rejects_remainder(p, pair, shifted):
     form = _form(pair, shifted)
     with pytest.raises(ExactnessError):
         divide_exact_linear(p * form + 1, form)
+
+
+# property tests for the one divided-difference kernel, with x exponents
+# up to 40 (beyond any fixed-width exponent packing)
+
+_wide_exponents = st.tuples(*[st.integers(0, 40)] * _N,
+                            *[st.integers(0, 2)] * _N).map(
+    lambda e: e + (0, 0))
+_wide_polys = st.dictionaries(_wide_exponents, _coeffs, max_size=3).map(
+    lambda terms: MPoly(_RG.nvars, terms))
+_letters = st.integers(1, _N - 1)
+
+
+def _d(f, i):
+    return divided_difference(f, _RG.x_slot(i), _RG.x_slot(i + 1))
+
+
+def _T(f, i):
+    return divided_difference(f, _RG.x_slot(i), _RG.x_slot(i + 1), swap=-1)
+
+
+def _s(f, i):
+    return f.substitute({_RG.x_slot(i): _RG.x(i + 1),
+                         _RG.x_slot(i + 1): _RG.x(i)})
+
+
+@given(_wide_polys, _letters)
+def test_kernel_dl_is_involution(f, i):
+    assert _T(_T(f, i), i) == f
+
+
+@given(_wide_polys)
+def test_kernel_dl_braid(f):
+    assert _T(_T(_T(f, 1), 2), 1) == _T(_T(_T(f, 2), 1), 2)
+
+
+@given(_wide_polys, _letters)
+def test_kernel_divided_difference_squares_to_zero(f, i):
+    assert _d(_d(f, i), i).is_zero()
+
+
+@given(_wide_polys, _letters)
+def test_kernel_dl_is_divided_difference_minus_swap(f, i):
+    assert _T(f, i) == _d(f, i) - _s(f, i)
