@@ -10,6 +10,13 @@ covers.  Paths are classified by their label pattern:
 - peakless: strictly down then strictly up (statistics de, in count the
   two segments, each minus one);
 - unimodal: strictly up then strictly down.
+
+All of these are one two-phase label automaton: labels move strictly in
+a first direction (down; up for unimodal paths), turn at most once, then
+move strictly the other way.  Each shape is a cap on in, de and length
+plus an accept test on (length, in, de), and `enumerate_paths` runs one
+depth-first search for all of them, building a path only when it is
+accepted.
 """
 
 from __future__ import annotations
@@ -40,12 +47,10 @@ class LabeledPath:
     def __len__(self):
         return len(self.edges)
 
-    def end(self, start=None):
-        if self.edges:
-            return self.edges[-1].target
-        if start is None:
+    def end(self):
+        if not self.edges:
             raise ValueError("empty path has no intrinsic endpoint")
-        return start
+        return self.edges[-1].target
 
     def stats(self):
         """(in, de) for a peakless or unimodal label pattern; the empty
@@ -128,28 +133,21 @@ def sigma_delta(u, w, A):
     )
 
 
-def _extend(u, k, cover_only, accept, prune):
-    """Generic DFS over label-constrained paths.
-
-    `prune(state, tau) -> new state or None` advances the label-pattern
-    automaton; `accept(state, path)` says whether to yield the path at
-    this node.  Edges from each vertex are tried in a deterministic order.
-    """
-    out = []
-
-    def rec(v, state, edges):
-        path = LabeledPath(tuple(edges))
-        if accept(state, path):
-            out.append(path)
-        for e in k_edges_from(v, k, cover_only):
-            ns = prune(state, e.tau)
-            if ns is not None:
-                edges.append(e)
-                rec(e.target, ns, edges)
-                edges.pop()
-
-    rec(u, None, [])
-    return out
+def _automaton(shape):
+    """A path shape as the two-phase label automaton: (first phase goes
+    up, caps on (in, de, length), accept test on (length, in, de))."""
+    kind, params = shape[0], shape[1:]
+    if kind in ("decreasing", "increasing", "unimodal_len"):
+        (r,) = params
+        caps = {"decreasing": (0, r, r), "increasing": (r, 0, r),
+                "unimodal_len": (r, r, r)}[kind]
+        return kind == "unimodal_len", caps, lambda m, inc, dec: m == r
+    if kind in ("peakless", "peakless_le", "unimodal"):
+        a, b = params
+        exact = kind != "peakless_le"
+        return (kind == "unimodal", (a, b, a + b + 1),
+                lambda m, inc, dec: not exact or (inc, dec) == (a, b))
+    raise ValueError("unknown path shape: %r" % (shape,))
 
 
 def enumerate_paths(u, k, shape, cover_only=False):
@@ -166,96 +164,45 @@ def enumerate_paths(u, k, shape, cover_only=False):
       ("unimodal", a, b)      unimodal with in = a, de = b exactly
       ("unimodal_len", r)     unimodal of length exactly r, any split
 
+    Every shape runs the one two-phase automaton (see the module
+    docstring).  Within an endpoint, paths come in depth-first pre-order
+    with edges tried in `k_edges_from` order.
+
     Returns a dict endpoint -> list of LabeledPath, endpoint keys sorted;
     the empty path is keyed at u itself.
     """
-    kind = shape[0]
-
-    if kind in ("decreasing", "increasing"):
-        r = shape[1]
-        down = kind == "decreasing"
-
-        def prune(state, tau):
-            cnt, last = state or (0, None)
-            if cnt >= r:
-                return None
-            if last is not None and not (tau < last if down else tau > last):
-                return None
-            return (cnt + 1, tau)
-
-        def accept(state, path):
-            return (state or (0, None))[0] == r
-
-    elif kind in ("peakless", "peakless_le"):
-        a, b = shape[1], shape[2]
-
-        def prune(state, tau):
-            inc, dec, last, phase = state or (0, 0, None, "start")
-            if last is None:
-                return (0, 0, tau, "first")
-            if tau < last and phase in ("first", "down"):
-                if dec + 1 > b:
-                    return None
-                return (inc, dec + 1, tau, "down")
-            if tau > last:
-                if inc + 1 > a:
-                    return None
-                return (inc + 1, dec, tau, "up")
-            return None
-
-        def accept(state, path):
-            if kind == "peakless_le":
-                return True
-            if state is None:
-                return a == 0 and b == 0  # the length-0 path
-            return state[0] == a and state[1] == b
-
-    elif kind == "unimodal":
-        a, b = shape[1], shape[2]
-
-        def prune(state, tau):
-            inc, dec, last, phase = state or (0, 0, None, "start")
-            if last is None:
-                return (0, 0, tau, "first")
-            if tau > last and phase in ("first", "up"):
-                if inc + 1 > a:
-                    return None
-                return (inc + 1, dec, tau, "up")
-            if tau < last:
-                if dec + 1 > b:
-                    return None
-                return (inc, dec + 1, tau, "down")
-            return None
-
-        def accept(state, path):
-            if state is None:
-                return a == 0 and b == 0
-            return state[0] == a and state[1] == b
-
-    elif kind == "unimodal_len":
-        r = shape[1]
-
-        def prune(state, tau):
-            cnt, last, phase = state or (0, None, "start")
-            if cnt >= r:
-                return None
-            if last is None:
-                return (1, tau, "first")
-            if tau > last and phase in ("first", "up"):
-                return (cnt + 1, tau, "up")
-            if tau < last:
-                return (cnt + 1, tau, "down")
-            return None
-
-        def accept(state, path):
-            return (state or (0, None, "start"))[0] == r
-
-    else:
-        raise ValueError("unknown path shape: %r" % (shape,))
-
+    up_first, (max_in, max_de, max_len), accept = _automaton(shape)
+    max_first, max_second = (max_in, max_de) if up_first else (max_de, max_in)
     grouped = {}
-    for path in _extend(u, k, cover_only, accept, prune):
-        grouped.setdefault(path.end(u), []).append(path)
+    edges = []
+
+    # first/second count the steps of each phase, so the path has turned
+    # once second > 0; consecutive labels never repeat, since the last
+    # label's value has just moved past position k
+    def rec(v, last, first, second):
+        inc, dec = (first, second) if up_first else (second, first)
+        if accept(len(edges), inc, dec):
+            grouped.setdefault(v, []).append(LabeledPath(tuple(edges)))
+        more_first = second == 0 and first < max_first
+        if len(edges) == max_len or (
+                edges and not more_first and second == max_second):
+            return  # no step is left, so no edge scan
+        for e in k_edges_from(v, k, cover_only):
+            if not edges:
+                state = (0, 0)
+            elif (e.tau > last) == up_first:
+                if not more_first:
+                    continue
+                state = (first + 1, 0)
+            elif second < max_second:
+                state = (first, second + 1)
+            else:
+                continue
+            edges.append(e)
+            rec(e.target, e.tau, *state)
+            edges.pop()
+
+    rec(u, None, 0, 0)
     return dict(sorted(grouped.items(), key=lambda kv: kv[0].oneline))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .exact import canonical_str
@@ -268,15 +269,26 @@ def _scan_schubert_mode(n):
     return len(all_permutations(n)), sorted(violations)
 
 
+# From n = 6 on, every scanned class comes from the top double Schubert
+# polynomial of 2^(n(n-1)/2) terms (32768 at n = 6).
+SCAN_MAX_N = 5
+
+
 def cmd_scan_positivity(args, out):
     if args.n < 1:
         raise DomainError("n must be positive")
-    if args.mode == "product":
+    product = args.mode == "product"
+    label = "pairs" if product else "classes"
+    if args.n > SCAN_MAX_N:
+        raise DomainError(
+            "scan-positivity supports n <= %d: n=%d would expand %d %s from "
+            "a %d-term top double Schubert polynomial"
+            % (SCAN_MAX_N, args.n, math.factorial(args.n) ** (1 + product),
+               label, 2 ** (args.n * (args.n - 1) // 2)))
+    if product:
         cases, violations = _scan_product_mode(args.n)
-        label = "pairs"
     else:
         cases, violations = _scan_schubert_mode(args.n)
-        label = "classes"
     if violations:
         out.write("VIOLATION count=%d\n" % len(violations))
         for wit in violations[:20]:

@@ -223,8 +223,7 @@ def pushforward(expansion, k):
                 "Schubert expansion has weight at non-Grassmannian %s" % w)
         cur = out.get(lam)
         out[lam] = c if cur is None else cur + c
-    return {lam: c for lam, c in sorted(out.items())
-            if not (hasattr(c, "is_zero") and c.is_zero())}
+    return {lam: c for lam, c in sorted(out.items()) if not c.is_zero()}
 
 
 def parabolic_pieri(lam, k, n, hook):

@@ -11,6 +11,8 @@ coefficient is the multiplier evaluated at t_{u(1)},..,t_{u(k)}.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .bruhat import enumerate_paths, moved_values, sigma_delta
 from .exact import ring
 from .perm import Permutation, cycles_through, grassmannian_from_partition
@@ -44,31 +46,40 @@ def pieri_hook_schubert(u, k, hook, equivariant=True):
                        basis="schubert")
 
 
+def _peakless_counts(u, k, alpha, beta, cover_only):
+    """{w: Counter{(in, de): number of peakless paths u -> w}} over the
+    nonempty peakless paths with in <= alpha and de <= beta."""
+    grouped = enumerate_paths(u, k, ("peakless_le", alpha, beta), cover_only)
+    return {w: Counter(p.stats() for p in paths)
+            for w, paths in grouped.items() if w != u}
+
+
 def _pieri_hook(u, k, hook, equivariant, cover_only, basis):
     n = u.n
     alpha, beta = hook
     rg = ring(n)
     out = CohClass(basis, equivariant)
-    if equivariant:
-        out.add(u, schur_hook(n, alpha, beta, _diag_subset(u, k)))
-        grouped = enumerate_paths(u, k, ("peakless_le", alpha, beta), cover_only)
-        for w, paths in grouped.items():
-            if w == u:
-                continue
-            sd = sigma_delta(u, w, range(1, k + 1))
-            acc = rg.zero
-            for p in paths:
-                pin, pde = p.stats()
-                acc = acc + complete_sym(n, alpha - pin, ts(*sd.sigma)) \
-                    * elem_sym(n, beta - pde, ts(*sd.delta))
-            out.add(w, acc)
-    else:
-        grouped = enumerate_paths(u, k, ("peakless", alpha, beta), cover_only)
-        for w, paths in grouped.items():
-            count = sum(1 for p in paths if len(p))
-            if count:
-                out.add(w, rg.const(count))
+    counts = _peakless_counts(u, k, alpha, beta, cover_only)
+    if not equivariant:
+        for w, by_stats in counts.items():
+            out.add(w, rg.const(by_stats[alpha, beta]))
+        return out
+    out.add(u, schur_hook(n, alpha, beta, _diag_subset(u, k)))
+    for w, by_stats in counts.items():
+        sd = sigma_delta(u, w, range(1, k + 1))
+        out.add(w, _dress(n, sd, by_stats, alpha, beta))
     return out
+
+
+def _dress(n, sd, by_stats, alpha, beta):
+    """The equivariant path sum at one endpoint: each (in, de) count times
+    h_{alpha-in} on Sigma and e_{beta-de} on Delta (zero when in > alpha
+    or de > beta)."""
+    acc = ring(n).zero
+    for (pin, pde), count in by_stats.items():
+        acc = acc + count * complete_sym(n, alpha - pin, ts(*sd.sigma)) \
+            * elem_sym(n, beta - pde, ts(*sd.delta))
+    return acc
 
 
 def pieri_schubertclass_csm(u, k, hook):
@@ -90,22 +101,14 @@ def pieri_schubertclass_csm(u, k, hook):
     w_hook = grassmannian_from_partition((alpha + 1,) + (1,) * beta, k, n)
     out = CohClass("csm", True)
     out.add(u, localize(double_schubert(w_hook), u))
-    grouped = enumerate_paths(u, k, ("peakless_le", alpha, beta), False)
-    for w, paths in grouped.items():
-        if w == u:
-            continue
+    for w, by_stats in _peakless_counts(u, k, alpha, beta, False).items():
         sd = sigma_delta(u, w, range(1, k + 1))
         acc = rg.zero
-        for p in paths:
-            pin, pde = p.stats()
-            for a1 in range(alpha - pin + 1):
-                a2 = alpha - pin - a1
-                for b1 in range(beta - pde + 1):
-                    b2 = beta - pde - b1
-                    acc = acc + (complete_sym(n, a1, ts(*sd.sigma))
-                                 * elem_sym(n, b1, ts(*sd.delta))
-                                 * elem_sym(n, a2, t_range(k + alpha), sign=-1)
-                                 * complete_sym(n, b2, t_range(k - beta), sign=-1))
+        for a2 in range(alpha + 1):
+            for b2 in range(beta + 1):
+                acc = acc + elem_sym(n, a2, t_range(k + alpha), sign=-1) \
+                    * complete_sym(n, b2, t_range(k - beta), sign=-1) \
+                    * _dress(n, sd, by_stats, alpha - a2, beta - b2)
         out.add(w, acc)
     return out
 
@@ -200,16 +203,7 @@ def _mn(u, k, r, equivariant, basis):
 def _nonequivariant_hook_counts(u, A, k, alpha, beta):
     """Path-count route for A = [k]; oracle route for a general subset."""
     if k is not None and A == tuple(range(1, k + 1)):
-        counts = {}
-        grouped = enumerate_paths(u, k, ("peakless_le", alpha, beta), False)
-        for w, paths in grouped.items():
-            for p in paths:
-                if not len(p):
-                    continue
-                pin, pde = p.stats()
-                key = (pin, pde)
-                counts.setdefault(w, {})[key] = counts.get(w, {}).get(key, 0) + 1
-        return counts
+        return _peakless_counts(u, k, alpha, beta, False)
     from .csm import oracle_product
 
     n = u.n
@@ -225,6 +219,15 @@ def _nonequivariant_hook_counts(u, A, k, alpha, beta):
     return counts
 
 
+def _lift_subset(k, A):
+    """The positions A of a rigidity lift: [k] unless A is given."""
+    if A is not None:
+        return tuple(sorted(A))
+    if k is None:
+        raise ValueError("pass k or an explicit subset A")
+    return tuple(range(1, k + 1))
+
+
 def rigidity_lift_hook(u, hook, k=None, A=None):
     """Equivariant hook-Pieri coefficients assembled from nonequivariant
     structure constants: each smaller hook's count is dressed with
@@ -232,12 +235,7 @@ def rigidity_lift_hook(u, hook, k=None, A=None):
     is the hook Schur polynomial at t_{uA}."""
     n = u.n
     alpha, beta = hook
-    if A is None:
-        if k is None:
-            raise ValueError("pass k or an explicit subset A")
-        A = tuple(range(1, k + 1))
-    else:
-        A = tuple(sorted(A))
+    A = _lift_subset(k, A)
     rg = ring(n)
     out = CohClass("csm", True)
     out.add(u, schur_hook(n, alpha, beta,
@@ -253,27 +251,12 @@ def rigidity_lift_hook(u, hook, k=None, A=None):
     return out
 
 
-def rigidity_lift(kind, u, params, k=None, A=None):
-    """Dispatcher: kind 'hook' lifts a hook Pieri expansion (params =
-    (alpha, beta)), kind 'powersum' a Murnaghan-Nakayama one (params = r)."""
-    if kind == "hook":
-        return rigidity_lift_hook(u, params, k=k, A=A)
-    if kind == "powersum":
-        return rigidity_lift_powersum(u, params, k=k, A=A)
-    raise ValueError("kind must be 'hook' or 'powersum'")
-
-
 def rigidity_lift_powersum(u, r, k=None, A=None):
     """Equivariant Murnaghan-Nakayama coefficients assembled from
     nonequivariant ones: d^w_r(t) = sum_{r'} d^w_{r'} h_{r-r'} on the
     moved t-values, diagonal p_r(t_{uA})."""
     n = u.n
-    if A is None:
-        if k is None:
-            raise ValueError("pass k or an explicit subset A")
-        A = tuple(range(1, k + 1))
-    else:
-        A = tuple(sorted(A))
+    A = _lift_subset(k, A)
     rg = ring(n)
     out = CohClass("csm", True)
     out.add(u, power_sum(n, r, VarSubset("t", tuple(u(i) for i in A))))

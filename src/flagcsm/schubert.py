@@ -34,9 +34,7 @@ class CohClass:
     def add(self, w, poly):
         cur = self.coeffs.get(w)
         val = poly if cur is None else cur + poly
-        if isinstance(val, MPoly) and val.is_zero():
-            self.coeffs.pop(w, None)
-        elif not isinstance(val, MPoly) and val == 0:
+        if val.is_zero():
             self.coeffs.pop(w, None)
         else:
             self.coeffs[w] = val
@@ -47,11 +45,9 @@ class CohClass:
     def specialize_t0(self):
         out = CohClass(self.basis, False)
         for w, c in self.coeffs.items():
-            if isinstance(c, MPoly):
-                n = (c.nvars - 2) // 2
-                rg = ring(n)
-                c = c.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
-            out.add(w, c)
+            n = (c.nvars - 2) // 2
+            rg = ring(n)
+            out.add(w, c.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)}))
         return out
 
     def __eq__(self, other):

@@ -266,3 +266,69 @@ def test_paths_to_json():
         assert set(rec) == {"end", "vertices", "labels"}
         assert rec["vertices"][-1] == rec["end"]
         assert len(rec["labels"]) == len(rec["vertices"]) - 1
+
+
+def _all_labeled_paths(u, k, cover_only):
+    """Every k-Bruhat path from u, unpruned, as (endpoint, labels) in DFS
+    pre-order with edges tried in `k_edges_from` order."""
+    out = []
+
+    def rec(v, labels):
+        out.append((v, labels))
+        for e in k_edges_from(v, k, cover_only):
+            rec(e.target, labels + (e.tau,))
+
+    rec(u, ())
+    return out
+
+
+def _label_pattern(labels):
+    """(peakless, unimodal, in, de) read off the ascents and descents of a
+    label tuple: peakless when every descent precedes every ascent,
+    unimodal when every ascent precedes every descent."""
+    assert all(x != y for x, y in zip(labels, labels[1:]))
+    ups = [y > x for x, y in zip(labels, labels[1:])]
+    return (ups == sorted(ups), ups == sorted(ups, reverse=True),
+            sum(ups), len(ups) - sum(ups))
+
+
+def _matches(shape, labels):
+    peakless, unimodal, inc, dec = _label_pattern(labels)
+    kind, params = shape[0], shape[1:]
+    if kind == "decreasing":
+        return len(labels) == params[0] and inc == 0
+    if kind == "increasing":
+        return len(labels) == params[0] and dec == 0
+    if kind == "peakless":
+        return peakless and (inc, dec) == params
+    if kind == "peakless_le":
+        return peakless and inc <= params[0] and dec <= params[1]
+    if kind == "unimodal":
+        return unimodal and (inc, dec) == params
+    assert kind == "unimodal_len"
+    return unimodal and len(labels) == params[0]
+
+
+SHAPES_UP_TO_3 = (
+    [(kind, r) for kind in ("decreasing", "increasing", "unimodal_len")
+     for r in range(4)]
+    + [(kind, a, b) for kind in ("peakless", "peakless_le", "unimodal")
+       for a in range(4) for b in range(4)])
+
+
+def test_enumerate_paths_matches_unpruned_search_s4():
+    # every shape, against all paths filtered by an independent reading of
+    # their labels; the order within an endpoint is the DFS pre-order
+    for cover_only in (False, True):
+        for k in (1, 2, 3):
+            for u in all_permutations(4):
+                every = _all_labeled_paths(u, k, cover_only)
+                for shape in SHAPES_UP_TO_3:
+                    want = {}
+                    for w, labels in every:
+                        if _matches(shape, labels):
+                            want.setdefault(w, []).append(labels)
+                    got = enumerate_paths(u, k, shape, cover_only)
+                    assert list(got) == sorted(want, key=lambda w: w.oneline)
+                    assert {w: [p.labels for p in ps]
+                            for w, ps in got.items()} == want

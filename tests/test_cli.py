@@ -143,6 +143,20 @@ def test_scan_positivity_small():
     assert code == 0 and "violations=0" in got
 
 
+def test_scan_positivity_refuses_n6_up_front(monkeypatch, capsys):
+    # the refusal must come before any class is built
+    def no_build(*args):
+        raise AssertionError("built a class before refusing")
+
+    monkeypatch.setattr("flagcsm.csm.double_schubert", no_build)
+    monkeypatch.setattr("flagcsm.schubert.double_schubert", no_build)
+    for n, mode, estimate in ((6, "product", "518400 pairs"),
+                              (7, "schubert-expansion", "5040 classes")):
+        code, got = run(["scan-positivity", "--n", str(n), "--mode", mode])
+        assert code == EXIT_DOMAIN and got == ""
+        assert estimate in capsys.readouterr().err
+
+
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])

@@ -324,9 +324,12 @@ def test_eh_localized_choice_independence():
 
 
 def test_rigidity_hook_23154():
-    got = rigidity_lift_hook(P("23154"), (1, 1), k=2)
-    want = pieri_hook_csm(P("23154"), 2, (1, 1))
-    assert got.coeffs == want.coeffs
+    # 531642 -> 642531 (k = 3) carries two peakless paths with the same
+    # (in, de) = (1, 1), the smallest such repeat
+    for u, k in (("23154", 2), ("531642", 3)):
+        got = rigidity_lift_hook(P(u), (1, 1), k=k)
+        want = pieri_hook_csm(P(u), k, (1, 1))
+        assert got.coeffs == want.coeffs
 
 
 def test_rigidity_powersum_23154():
@@ -377,13 +380,3 @@ def test_random_s4_rule_oracle_spot_checks():
         r = rnd.choice([1, 2, 3])
         assert mn_schubert(u, k, r).coeffs == \
             oracle_product(u, power_sum(n, r, x_range(k)), "schubert").coeffs
-
-
-def test_rigidity_lift_dispatcher():
-    from flagcsm.rules import rigidity_lift
-
-    u = P("2143")
-    assert rigidity_lift("hook", u, (1, 0), k=2).coeffs == \
-        rigidity_lift_hook(u, (1, 0), k=2).coeffs
-    assert rigidity_lift("powersum", u, 2, k=2).coeffs == \
-        rigidity_lift_powersum(u, 2, k=2).coeffs
