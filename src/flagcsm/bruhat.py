@@ -14,13 +14,14 @@ covers.  Paths are classified by their label pattern:
 All of these are one two-phase label automaton: labels move strictly in
 a first direction (down; up for unimodal paths), turn at most once, then
 move strictly the other way.  Each shape is a cap on in, de and length
-plus an accept test on (length, in, de), and `enumerate_paths` runs one
-depth-first search for all of them, building a path only when it is
-accepted.
+plus an accept test on (length, in, de).  One depth-first search on
+one-line tuples serves `enumerate_paths`, which builds the accepted
+paths, and `count_paths`, which counts them by endpoint and (in, de).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .perm import Permutation
@@ -79,21 +80,36 @@ class NoPathError(ValueError):
     """Requested a path whose existence precondition fails."""
 
 
+def _is_cover(ol, a, b):
+    """Whether swapping positions a < b of the one-line tuple ol, with
+    ol(a) < ol(b), is a cover: no value between them sits between a and b."""
+    lo, hi = ol[a - 1], ol[b - 1]
+    for v in ol[a:b - 1]:
+        if lo < v < hi:
+            return False
+    return True
+
+
+def _edges(ol, k, cover_only):
+    """The k-edges out of the one-line tuple ol, as (a, b, tau, target
+    tuple, cover) in order of a, then b."""
+    n = len(ol)
+    for a in range(1, k + 1):
+        ua = ol[a - 1]
+        for b in range(k + 1, n + 1):
+            ub = ol[b - 1]
+            if ua < ub:
+                cover = _is_cover(ol, a, b)
+                if cover or not cover_only:
+                    w = list(ol)
+                    w[a - 1], w[b - 1] = ub, ua
+                    yield a, b, ua, tuple(w), cover
+
+
 def k_edges_from(u, k, cover_only=False):
     """All k-edges with source u, each carrying tau = u(a) and a cover flag."""
-    n = u.n
-    lu = u.length()
-    out = []
-    for a in range(1, k + 1):
-        ua = u(a)
-        for b in range(k + 1, n + 1):
-            if ua < u(b):
-                w = u.compose(Permutation.transposition(a, b, n))
-                cover = w.length() == lu + 1
-                if cover_only and not cover:
-                    continue
-                out.append(LabeledEdge(u, w, a, b, ua, cover))
-    return out
+    return [LabeledEdge(u, Permutation(w), a, b, tau, cover)
+            for a, b, tau, w, cover in _edges(u.oneline, k, cover_only)]
 
 
 def leq_k(u, w, k):
@@ -119,7 +135,7 @@ class SigmaDelta:
 
 def moved_values(u, w):
     """u M(u^-1 w) = {u(i) : u(i) != w(i)}, sorted."""
-    return tuple(sorted(u(i) for i in range(1, u.n + 1) if u(i) != w(i)))
+    return tuple(sorted(a for a, b in zip(u.oneline, w.oneline) if a != b))
 
 
 def sigma_delta(u, w, A):
@@ -150,6 +166,44 @@ def _automaton(shape):
     raise ValueError("unknown path shape: %r" % (shape,))
 
 
+def _walk(u, k, shape, cover_only, visit):
+    """Depth-first walk of the shape's automaton from the one-line tuple u,
+    calling visit(v, steps, in, de) on each accepted path in pre-order;
+    steps is the live list of the path's `_edges` tuples."""
+    up_first, (max_in, max_de, max_len), accept = _automaton(shape)
+    max_first, max_second = (max_in, max_de) if up_first else (max_de, max_in)
+    steps = []
+
+    # first/second count the steps of each phase, so the path has turned
+    # once second > 0; consecutive labels never repeat, since the last
+    # label's value has just moved past position k
+    def rec(v, last, first, second):
+        inc, dec = (first, second) if up_first else (second, first)
+        if accept(len(steps), inc, dec):
+            visit(v, steps, inc, dec)
+        more_first = second == 0 and first < max_first
+        if len(steps) == max_len or (
+                steps and not more_first and second == max_second):
+            return  # no step is left, so no edge scan
+        for step in _edges(v, k, cover_only):
+            tau = step[2]
+            if not steps:
+                state = (0, 0)
+            elif (tau > last) == up_first:
+                if not more_first:
+                    continue
+                state = (first + 1, 0)
+            elif second < max_second:
+                state = (first, second + 1)
+            else:
+                continue
+            steps.append(step)
+            rec(step[3], tau, *state)
+            steps.pop()
+
+    rec(u, None, 0, 0)
+
+
 def enumerate_paths(u, k, shape, cover_only=False):
     """Paths from u in the (extended or ordinary) k-Bruhat graph matching
     a label shape, grouped by endpoint.
@@ -171,39 +225,29 @@ def enumerate_paths(u, k, shape, cover_only=False):
     Returns a dict endpoint -> list of LabeledPath, endpoint keys sorted;
     the empty path is keyed at u itself.
     """
-    up_first, (max_in, max_de, max_len), accept = _automaton(shape)
-    max_first, max_second = (max_in, max_de) if up_first else (max_de, max_in)
     grouped = {}
-    edges = []
 
-    # first/second count the steps of each phase, so the path has turned
-    # once second > 0; consecutive labels never repeat, since the last
-    # label's value has just moved past position k
-    def rec(v, last, first, second):
-        inc, dec = (first, second) if up_first else (second, first)
-        if accept(len(edges), inc, dec):
-            grouped.setdefault(v, []).append(LabeledPath(tuple(edges)))
-        more_first = second == 0 and first < max_first
-        if len(edges) == max_len or (
-                edges and not more_first and second == max_second):
-            return  # no step is left, so no edge scan
-        for e in k_edges_from(v, k, cover_only):
-            if not edges:
-                state = (0, 0)
-            elif (e.tau > last) == up_first:
-                if not more_first:
-                    continue
-                state = (first + 1, 0)
-            elif second < max_second:
-                state = (first, second + 1)
-            else:
-                continue
-            edges.append(e)
-            rec(e.target, e.tau, *state)
-            edges.pop()
+    def visit(v, steps, inc, dec):
+        edges, src = [], u
+        for a, b, tau, w, cover in steps:
+            edges.append(LabeledEdge(src, Permutation(w), a, b, tau, cover))
+            src = edges[-1].target
+        grouped.setdefault(src, []).append(LabeledPath(tuple(edges)))
 
-    rec(u, None, 0, 0)
+    _walk(u.oneline, k, shape, cover_only, visit)
     return dict(sorted(grouped.items(), key=lambda kv: kv[0].oneline))
+
+
+def count_paths(u, k, shape, cover_only=False):
+    """The paths of `enumerate_paths` counted, not built: a dict endpoint
+    -> Counter{(in, de): number of paths}, endpoint keys sorted."""
+    counts = {}
+
+    def visit(v, steps, inc, dec):
+        counts.setdefault(v, Counter())[inc, dec] += 1
+
+    _walk(u.oneline, k, shape, cover_only, visit)
+    return {Permutation(v): c for v, c in sorted(counts.items())}
 
 
 def unique_unimodal_path(u, eta, k):
@@ -226,7 +270,7 @@ def unique_unimodal_path(u, eta, k):
     def edge(src, a, b):
         tgt = src.compose(Permutation.transposition(a, b, n))
         return LabeledEdge(src, tgt, a, b, src(a),
-                           tgt.length() == src.length() + 1)
+                           _is_cover(src.oneline, a, b))
 
     edges_front = []
     edges_back = []

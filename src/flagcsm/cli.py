@@ -104,10 +104,17 @@ def cmd_mn(args, out):
     return 0
 
 
+# The S_n graph's DOT text grows about tenfold per step in n (15 MB at 8).
+GRAPH_MAX_N = 8
+
+
 def cmd_graph(args, out):
     _check_k(args.k, args.n)
     if args.partitions:
         out.write(_partition_graph_dot(args.k, args.n))
+    elif args.n > GRAPH_MAX_N:
+        raise DomainError("graph supports n <= %d: n=%d would write %d vertices"
+                          % (GRAPH_MAX_N, args.n, math.factorial(args.n)))
     else:
         from .bruhat import export_dot
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 
 class ExactnessError(ArithmeticError):
@@ -138,7 +139,7 @@ class MPoly:
         get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -360,6 +361,8 @@ class PolyRing:
     def __init__(self, n):
         self.n = n
         self.nvars = 2 * n + 2
+        names = ["%s%d" % (v, i) for v in "xt" for i in range(1, n + 1)]
+        self.var_names = tuple(names + ["q", "z"])
 
     def x_slot(self, i):
         if not 1 <= i <= self.n:
@@ -404,13 +407,6 @@ class PolyRing:
     def one(self):
         return MPoly.const(self.nvars, 1)
 
-    def var_name(self, slot):
-        if slot < self.n:
-            return "x%d" % (slot + 1)
-        if slot < 2 * self.n:
-            return "t%d" % (slot - self.n + 1)
-        return "q" if slot == 2 * self.n else "z"
-
 
 @lru_cache(maxsize=None)
 def ring(n):
@@ -424,18 +420,20 @@ def _coef_str(c):
 
 
 def canonical_str(p):
-    """Canonical printing: graded order, ties broken x1<..<xn<t1<..<tn<q<z;
-    monomials like ``c*x1^2*t3`` with ^1 omitted and unit coefficients
-    elided."""
+    """Canonical printing: graded order, ties broken x1<..<xn<t1<..<tn<q<z
+    (terms sorted by the key (sum(e), tuple(-d for d in e))); monomials
+    like ``c*x1^2*t3`` with ^1 omitted and unit coefficients elided."""
     if not p.terms:
         return "0"
-    n = (p.nvars - 2) // 2
-    rg = ring(n)
+    names = ring((p.nvars - 2) // 2).var_names
+    # that key as two stable sorts: vectors descending, then degree ascending
+    order = sorted(p.terms, reverse=True)
+    order.sort(key=sum)
     pieces = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), tuple(-d for d in e))):
+    for e in order:
         c = p.terms[e]
         mono = "*".join(
-            rg.var_name(i) + ("^%d" % d if d > 1 else "")
+            names[i] + ("^%d" % d if d > 1 else "")
             for i, d in enumerate(e) if d
         )
         if not mono:

@@ -182,27 +182,34 @@ def all_permutations(n):
     return tuple(perms)
 
 
+def _cycle_tuples(n, min_len, max_len):
+    """Cycles of S_n as tuples (c1, ..., cm), minimum of the support first,
+    by length, then support, then the order of the rest."""
+    for m in range(min_len, max_len + 1):
+        for support in combinations(range(1, n + 1), m):
+            lead, rest = support[0], support[1:]
+            for tail in permutations(rest):
+                yield (lead,) + tail
+
+
 def all_cycles(n, min_len=2, max_len=None):
     """All cycles in S_n of the given lengths, each in canonical form
     (minimum element of the support first), in a deterministic order."""
     if max_len is None:
         max_len = n
-    out = []
-    for m in range(min_len, max_len + 1):
-        for support in combinations(range(1, n + 1), m):
-            lead, rest = support[0], support[1:]
-            for tail in permutations(rest):
-                out.append(((lead,) + tail, Permutation.from_cycle((lead,) + tail, n)))
-    return out
+    return [(cyc, Permutation.from_cycle(cyc, n))
+            for cyc in _cycle_tuples(n, min_len, max_len)]
 
 
 def cycles_through(u, k, max_len):
     """All cycles eta of length 2..max_len+1 with u <=_k u.eta in the
-    extended k-Bruhat order.  Returns (cycle tuple, eta) pairs."""
-    from .bruhat import leq_k  # deferred: bruhat depends on this module
-
+    extended k-Bruhat order.  Returns (cycle tuple, eta) pairs.  As in
+    `bruhat.leq_k`, the value u(eta(c)) moved to position c must rise
+    for c <= k and fall for c > k."""
+    ol = u.oneline
     out = []
-    for cyc, eta in all_cycles(u.n, 2, max_len + 1):
-        if leq_k(u, u.compose(eta), k):
-            out.append((cyc, eta))
+    for cyc in _cycle_tuples(u.n, 2, max_len + 1):
+        if all((ol[c - 1] < ol[d - 1]) == (c <= k)
+               for c, d in zip(cyc, cyc[1:] + cyc[:1])):
+            out.append((cyc, Permutation.from_cycle(cyc, u.n)))
     return out

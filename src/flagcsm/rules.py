@@ -11,9 +11,7 @@ coefficient is the multiplier evaluated at t_{u(1)},..,t_{u(k)}.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .bruhat import enumerate_paths, moved_values, sigma_delta
+from .bruhat import count_paths, moved_values, sigma_delta
 from .exact import ring
 from .perm import Permutation, cycles_through, grassmannian_from_partition
 from .schubert import CohClass, column_perm, double_schubert, localize, row_perm
@@ -49,9 +47,9 @@ def pieri_hook_schubert(u, k, hook, equivariant=True):
 def _peakless_counts(u, k, alpha, beta, cover_only):
     """{w: Counter{(in, de): number of peakless paths u -> w}} over the
     nonempty peakless paths with in <= alpha and de <= beta."""
-    grouped = enumerate_paths(u, k, ("peakless_le", alpha, beta), cover_only)
-    return {w: Counter(p.stats() for p in paths)
-            for w, paths in grouped.items() if w != u}
+    counts = count_paths(u, k, ("peakless_le", alpha, beta), cover_only)
+    counts.pop(u, None)
+    return counts
 
 
 def _pieri_hook(u, k, hook, equivariant, cover_only, basis):
@@ -74,11 +72,15 @@ def _pieri_hook(u, k, hook, equivariant, cover_only, basis):
 def _dress(n, sd, by_stats, alpha, beta):
     """The equivariant path sum at one endpoint: each (in, de) count times
     h_{alpha-in} on Sigma and e_{beta-de} on Delta (zero when in > alpha
-    or de > beta)."""
-    acc = ring(n).zero
+    or de > beta); the e terms are summed first, one h product per in."""
+    zero = ring(n).zero
+    by_in = {}
     for (pin, pde), count in by_stats.items():
-        acc = acc + count * complete_sym(n, alpha - pin, ts(*sd.sigma)) \
-            * elem_sym(n, beta - pde, ts(*sd.delta))
+        by_in[pin] = by_in.get(pin, zero) \
+            + count * elem_sym(n, beta - pde, ts(*sd.delta))
+    acc = zero
+    for pin, e_sum in by_in.items():
+        acc = acc + complete_sym(n, alpha - pin, ts(*sd.sigma)) * e_sum
     return acc
 
 
@@ -146,8 +148,7 @@ def pieri_eh_localized(u, k, r, kind):
         raise ValueError("kind must be 'column' or 'row'")
     out = CohClass("csm", True)
     for rp in range(0, r + 1):
-        grouped = enumerate_paths(u, k, (shape, rp), False)
-        for w in grouped:
+        for w in count_paths(u, k, (shape, rp), False):
             sd = sigma_delta(u, w, range(1, k + 1))
             if kind == "column":
                 cls = double_schubert(column_perm(k - rp, r - rp, n))

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from flagcsm.bruhat import (
     NoPathError,
+    count_paths,
     enumerate_paths,
     export_dot,
     k_edges_from,
@@ -55,6 +57,32 @@ def test_k_edges_s3_full_edge_sets():
 
 def test_k_edges_from_longest_is_empty():
     assert k_edges_from(Permutation.longest(4), 2) == []
+
+
+def _reference_edges(u, k, cover_only):
+    """k-edges built from Permutation arithmetic: u.t_ab, with a cover
+    when the length goes up by exactly one."""
+    n = u.n
+    out = []
+    for a in range(1, k + 1):
+        for b in range(k + 1, n + 1):
+            if u(a) < u(b):
+                w = u.compose(Permutation.transposition(a, b, n))
+                cover = w.length() == u.length() + 1
+                if cover or not cover_only:
+                    out.append((u, w, a, b, u(a), cover))
+    return out
+
+
+def test_k_edges_from_matches_permutation_reference_s5():
+    # same edges, cover flags and order as the transposition-and-length
+    # construction
+    for u in all_permutations(5):
+        for k in range(1, 5):
+            for cover_only in (False, True):
+                got = [(e.source, e.target, e.a, e.b, e.tau, e.is_cover)
+                       for e in k_edges_from(u, k, cover_only)]
+                assert got == _reference_edges(u, k, cover_only)
 
 
 def test_leq_k_examples():
@@ -235,6 +263,11 @@ def test_unique_unimodal_path_exhaustive_s4():
                 p = unique_unimodal_path(u, eta, k)
                 assert p.labels == grouped[w][0].labels
                 assert p.stats()[1] == eta.k_height(k)
+                for e in p.edges:
+                    assert e.target == e.source.compose(
+                        Permutation.transposition(e.a, e.b, 4))
+                    assert e.is_cover == (
+                        e.target.length() == e.source.length() + 1)
 
 
 def test_export_dot_s3():
@@ -332,3 +365,18 @@ def test_enumerate_paths_matches_unpruned_search_s4():
                     assert list(got) == sorted(want, key=lambda w: w.oneline)
                     assert {w: [p.labels for p in ps]
                             for w, ps in got.items()} == want
+
+
+def test_count_paths_matches_enumerate_paths():
+    # the counting consumer against the path-building one; the unpruned
+    # search above checks the path-building one
+    cases = [(u, k) for u in all_permutations(4) for k in (1, 2, 3)]
+    cases += [(u, k) for u in all_permutations(5)[::7] for k in range(1, 5)]
+    for cover_only in (False, True):
+        for u, k in cases:
+            for shape in SHAPES_UP_TO_3:
+                want = {w: Counter(p.stats() for p in ps) for w, ps
+                        in enumerate_paths(u, k, shape, cover_only).items()}
+                got = count_paths(u, k, shape, cover_only)
+                assert list(got) == list(want)
+                assert got == want

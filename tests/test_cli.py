@@ -157,6 +157,17 @@ def test_scan_positivity_refuses_n6_up_front(monkeypatch, capsys):
         assert estimate in capsys.readouterr().err
 
 
+def test_graph_refuses_n9_up_front(monkeypatch, capsys):
+    # the refusal must come before any DOT text is built
+    def no_export(*args, **kwargs):
+        raise AssertionError("built the graph before refusing")
+
+    monkeypatch.setattr("flagcsm.bruhat.export_dot", no_export)
+    code, got = run(["graph", "--n", "9", "--k", "4"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "362880 vertices" in capsys.readouterr().err
+
+
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])

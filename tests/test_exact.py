@@ -311,3 +311,35 @@ def test_kernel_divided_difference_squares_to_zero(f, i):
 @given(_wide_polys, _letters)
 def test_kernel_dl_is_divided_difference_minus_swap(f, i):
     assert _T(f, i) == _d(f, i) - _s(f, i)
+
+
+# ring axioms and the printed term order on the 12-slot ring of S5
+
+_RG5 = ring(5)
+_polys12 = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * _RG5.nvars), _coeffs, max_size=5).map(
+    lambda terms: MPoly(_RG5.nvars, terms))
+
+
+@given(_polys12, _polys12)
+def test_mul_commutes(p, q):
+    assert p * q == q * p
+
+
+@given(_polys12, _polys12, _polys12)
+def test_mul_associates(p, q, r):
+    assert (p * q) * r == p * (q * r)
+
+
+@given(_polys12, _polys12, _polys12)
+def test_mul_distributes_over_add(p, q, r):
+    assert p * (q + r) == p * q + p * r
+
+
+@given(_polys12.filter(lambda p: not p.is_zero()))
+def test_canonical_str_sorts_by_documented_key(p):
+    order = sorted(p.terms, key=lambda e: (sum(e), tuple(-d for d in e)))
+    pieces = [canonical_str(MPoly(p.nvars, {e: p.terms[e]})) for e in order]
+    want = pieces[0] + "".join(
+        s if s.startswith("-") else "+" + s for s in pieces[1:])
+    assert canonical_str(p) == want

@@ -111,10 +111,13 @@ def test_cycles_through_trivial():
 def test_cycles_through_matches_bruteforce_filter():
     from flagcsm.bruhat import leq_k
 
-    u = P("23154")
-    brute = [cyc for cyc, eta in all_cycles(5, 2, 4)
-             if leq_k(u, u.compose(eta), 2)]
-    assert sorted(brute) == sorted(cyc for cyc, _ in cycles_through(u, 2, 3))
+    cases = [(P("23154"), 2, 3)]
+    cases += [(u, k, r) for u in all_permutations(4) for k in (1, 2, 3)
+              for r in (1, 2, 3)]
+    for u, k, r in cases:
+        brute = [(cyc, eta) for cyc, eta in all_cycles(u.n, 2, r + 1)
+                 if leq_k(u, u.compose(eta), k)]
+        assert cycles_through(u, k, r) == brute
 
 
 def test_height_vs_support_in_s5():
