@@ -2,8 +2,9 @@
 
 Subcommands: pieri, mn, graph, rht, grassmann, scan-positivity.  Exit
 codes partition the failure modes: 2 malformed flags, 3 domain errors
-(shape overflow and friends), 4 invariant violations (counting methods
-disagreeing), 5 conjecture violations found by a scan.
+(shape overflow and friends, inputs refused up front for their size), 4
+invariant violations (counting methods disagreeing, or one failing its
+exact arithmetic), 5 conjecture violations found by a scan.
 
 Output is byte-deterministic: tables sort endpoints by one-line
 notation, polynomials print in the canonical term order, and JSON uses
@@ -152,10 +153,18 @@ def _partition_graph_dot(k, n):
     return "\n".join(lines) + "\n"
 
 
+# `rht` enumeration visits 80k search nodes a second on 3-4 rows, 27k on 8
+# rows, and holds about 120 bytes a node (2-core VM): 200k nodes take 2.5-7.5
+# s and 25 MB.  4x4 with r = 1, 105720 nodes, stays allowed.
+RHT_ENUMERATE_MAX_NODES = 200_000
+
+
 def cmd_rht(args, out):
+    from .exact import ExactnessError, PoleError
     from .grassmann import contains, parse_partition
     from .rht import (
         enumerate_rht,
+        enumeration_nodes,
         rht_count_hook,
         rht_count_limit,
         rht_count_maj,
@@ -171,6 +180,14 @@ def cmd_rht(args, out):
     size = sum(outer) - sum(inner)
     if args.r < 1 or size % args.r:
         raise DomainError("skew size %d not divisible by r=%d" % (size, args.r))
+    if args.method in ("enumerate", "all"):
+        nodes = enumeration_nodes(outer, inner, args.r)
+        if nodes > RHT_ENUMERATE_MAX_NODES:
+            raise DomainError("enumeration supports at most %d search nodes: "
+                              "r=%d on %s/%s would visit %d (the limit and "
+                              "maj methods have no such bound)"
+                              % (RHT_ENUMERATE_MAX_NODES, args.r, args.outer,
+                                 args.inner, nodes))
 
     def run(method):
         if method == "enumerate":
@@ -185,11 +202,18 @@ def cmd_rht(args, out):
             return rht_count_hook(outer, args.r)
         raise DomainError("unknown method %r" % method)
 
+    if args.method == "all":
+        methods = ["enumerate", "limit", "maj"] + ([] if inner else ["hook"])
+    else:
+        methods = [args.method]
+    try:
+        counts = {m: run(m) for m in methods}
+    except (PoleError, ExactnessError, AssertionError) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_INVARIANT
     if args.method != "all":
-        out.write("%d\n" % run(args.method))
+        out.write("%d\n" % counts[args.method])
         return 0
-    methods = ["enumerate", "limit", "maj"] + ([] if inner else ["hook"])
-    counts = {m: run(m) for m in methods}
     for m in methods:
         out.write("%s %d\n" % (m, counts[m]))
     if len(set(counts.values())) != 1:

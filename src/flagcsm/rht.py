@@ -2,13 +2,18 @@
 
 1. direct enumeration by recursive hook stripping;
 2. an exact limit, at a primitive r-th root of unity, of the ratio of
-   Schubert-class localizations specialized at t_i = z^i;
+   Schubert-class localizations specialized at t_i = z^i, each summed
+   box by box over the factorial Schur tableaux of the inner shape;
 3. the major-index generating function of standard Young tableaux
-   evaluated at the root of unity;
+   evaluated at the root of unity, by a dynamic program over the
+   intermediate shapes;
 
 plus the hook-length quotient formula for straight shapes.  All three
 agree shape by shape; disagreement aborts, since each method checks the
-other two.
+other two.  Only enumeration lists tableaux, and it costs time and memory
+in proportion to the nodes of its search (`enumeration_nodes`); the
+other methods are polynomial in the number of boxes for a fixed number
+of rows.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .exact import (
     ExactnessError,
     UPoly,
     limit_ratio_at_root,
-    ring,
 )
 from .grassmann import (
     contains,
@@ -29,7 +33,6 @@ from .grassmann import (
     rim_hook_removals,
 )
 from .perm import grassmannian_from_partition
-from .schubert import double_schubert, localize
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,7 @@ def _hook_height(outer, inner):
     return max(rows) - min(rows)
 
 
-def enumerate_rht(Lam, lam, r):
-    """All standard r-rim-hook tableaux of the skew shape, by stripping
-    r-hooks from the outer shape."""
+def _skew(Lam, lam, r):
     Lam = normalize_partition(Lam)
     lam = normalize_partition(lam)
     if not contains(Lam, lam):
@@ -58,6 +59,14 @@ def enumerate_rht(Lam, lam, r):
     size = sum(Lam) - sum(lam)
     if size % r:
         raise ValueError("skew size %d not divisible by r=%d" % (size, r))
+    return Lam, lam
+
+
+def enumerate_rht(Lam, lam, r):
+    """All standard r-rim-hook tableaux of the skew shape, by stripping
+    r-hooks from the outer shape.  Asserts that their heights share one
+    parity, which `rht_sign` relies on."""
+    Lam, lam = _skew(Lam, lam, r)
     out = []
 
     def strip(cur, suffix, height):
@@ -71,19 +80,52 @@ def enumerate_rht(Lam, lam, r):
                 strip(mu, (cur,) + suffix, height + _hook_height(cur, mu))
 
     strip(Lam, (), 0)
+    if any(t.total_height % 2 != out[0].total_height % 2 for t in out):
+        raise AssertionError("height parity differs between tableaux")
     return out
 
 
+def enumeration_nodes(Lam, lam, r):
+    """The number of calls `enumerate_rht`'s search makes, counted over
+    shapes without building a tableau."""
+    Lam, lam = _skew(Lam, lam, r)
+    below = {}
+
+    def nodes(cur):
+        if sum(cur) == sum(lam):
+            return 1
+        if cur not in below:
+            below[cur] = 1 + sum(nodes(mu) for mu in rim_hook_removals(cur, r)
+                                 if contains(mu, lam))
+        return below[cur]
+
+    return nodes(Lam)
+
+
 def rht_sign(Lam, lam, r):
-    """(-1)^height common to every tableau of the shape (their parities
-    agree, asserted during enumeration); 0 when no tableau exists."""
-    tabs = enumerate_rht(Lam, lam, r)
-    if not tabs:
+    """(-1)^height of the first tableau a depth-first search finds (every
+    tableau has the same parity, asserted by `enumerate_rht`); 0 when no
+    tableau exists."""
+    Lam, lam = _skew(Lam, lam, r)
+    failed = set()
+
+    def height(cur):
+        if cur == lam:
+            return 0
+        if cur in failed:
+            return None
+        for mu in rim_hook_removals(cur, r):
+            if contains(mu, lam):
+                h = height(mu)
+                if h is not None:
+                    return h + _hook_height(cur, mu)
+        failed.add(cur)
+        return None
+
+    h = height(Lam)
+    if h is None:
         return 0
-    parity = tabs[0].total_height % 2
-    if any(t.total_height % 2 != parity for t in tabs):
-        raise AssertionError("height parity differs between tableaux")
-    return -1 if parity else 1
+    return -1 if h % 2 else 1
 
 
 def _ambient(Lam, k=None, n=None):
@@ -95,9 +137,25 @@ def _ambient(Lam, k=None, n=None):
     return k, n
 
 
+def _times_binomial(coeffs, a, b):
+    """coeffs * (z^a - z^b) on coefficient lists, constant term first."""
+    out = [0] * (len(coeffs) + max(a, b))
+    for i, c in enumerate(coeffs):
+        out[i + a] += c
+        out[i + b] -= c
+    return out
+
+
 def y_poly(lam, Lam, k=None, n=None):
     """The Schubert class of the inner shape localized at the fixed point
     of the outer shape, specialized t_i -> z^i: a univariate polynomial.
+
+    It is the factorial Schur sum over semistandard tableaux of the inner
+    shape with entries <= k, localized box by box: a box (i, j) filled
+    with v gives z^{w(v)} - z^{v+j-i}, w the outer shape's Grassmannian
+    permutation, and a filling is dropped at its first zero factor.  At
+    the inner shape = outer shape it is the product of z^{w(a)} - z^{w(b)}
+    over the inversions a < b of w.
 
     The ambient rectangle defaults to the smallest one containing the
     outer shape; the ratio used downstream is rectangle-independent."""
@@ -106,18 +164,32 @@ def y_poly(lam, Lam, k=None, n=None):
     if not contains(Lam, lam):
         raise ValueError("inner shape not contained in outer")
     k, n = _ambient(Lam, k, n)
-    rg = ring(n)
-    wl = grassmannian_from_partition(lam, k, n)
-    wL = grassmannian_from_partition(Lam, k, n)
-    loc = localize(double_schubert(wl), wL)
-    coeffs = {}
-    for e, c in loc.terms.items():
-        if any(e[rg.x_slot(i)] for i in range(1, n + 1)) or e[rg.q_slot]:
-            raise AssertionError("localization left non-t variables")
-        d = sum((i + 1) * e[rg.t_slot(i + 1)] for i in range(n)) + e[rg.z_slot]
-        coeffs[d] = coeffs.get(d, 0) + c
-    top = max(coeffs, default=-1)
-    return UPoly([coeffs.get(d, 0) for d in range(top + 1)])
+    w = (0,) + grassmannian_from_partition(Lam, k, n).oneline
+    if lam == Lam:
+        out = [1]
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                if w[a] > w[b]:
+                    out = _times_binomial(out, w[a], w[b])
+        return UPoly(out)
+    boxes = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
+    fill = {}
+    total = [0] * (n * len(boxes) + 1)  # each factor has degree <= n
+
+    def place(m, partial):
+        if m == len(boxes):
+            for d, c in enumerate(partial):
+                total[d] += c
+            return
+        i, j = boxes[m]
+        lo = max(fill.get((i, j - 1), 1), fill.get((i - 1, j), 0) + 1)
+        for v in range(lo, k + 1):
+            if w[v] != v + j - i:
+                fill[i, j] = v
+                place(m + 1, _times_binomial(partial, w[v], v + j - i))
+
+    place(0, [1])
+    return UPoly(total)
 
 
 def rht_count_limit(Lam, lam, r, k=None, n=None):
@@ -125,12 +197,8 @@ def rht_count_limit(Lam, lam, r, k=None, n=None):
     Y_{lam,Lam}(z) (z^r-1)^d / Y_{Lam,Lam}(z) at a primitive r-th root of
     unity, scaled by sign . r^d . d!; the result must be a nonnegative
     rational integer."""
-    Lam = normalize_partition(Lam)
-    lam = normalize_partition(lam)
-    size = sum(Lam) - sum(lam)
-    if size % r:
-        raise ValueError("skew size %d not divisible by r=%d" % (size, r))
-    d = size // r
+    Lam, lam = _skew(Lam, lam, r)
+    d = (sum(Lam) - sum(lam)) // r
     if d == 0:
         return 1
     num = y_poly(lam, Lam, k, n) * (UPoly.monomial(r) - 1) ** d
@@ -146,54 +214,39 @@ def rht_count_limit(Lam, lam, r, k=None, n=None):
     return int(count)
 
 
-def _box_chains(Lam, lam):
-    """Single-box growth chains from the inner shape to the outer one;
-    each chain is the row index of box i = 1..m, which is all the major
-    index needs."""
-    Lam = normalize_partition(Lam)
-    lam = normalize_partition(lam)
+def _maj_residues(Lam, lam, r):
+    """The number of standard Young tableaux of the skew shape with each
+    major index mod r, where maj(T) is the sum of i such that box i+1
+    sits in a strictly lower row than box i.  A dynamic program over
+    (shape, row of the last box), one box at a time."""
     rows = len(Lam)
-
-    def addable(cur):
-        full = list(cur) + [0] * (rows - len(cur))
-        for i in range(rows):
-            if full[i] < Lam[i] and (i == 0 or full[i] < full[i - 1]):
-                yield i + 1, normalize_partition(
-                    tuple(full[:i] + [full[i] + 1] + full[i + 1:]))
-
-    out = []
-
-    def rec(cur, rows_so_far):
-        if cur == Lam:
-            out.append(tuple(rows_so_far))
-            return
-        for row, nxt in addable(cur):
-            rec(nxt, rows_so_far + [row])
-
-    rec(lam, [])
-    return out
-
-
-def standard_tableaux_maj(Lam, lam):
-    """Major indices of all standard Young tableaux of the skew shape:
-    maj(T) = sum of i such that i+1 sits in a strictly lower row."""
-    return [sum(i + 1 for i in range(len(chain) - 1)
-                if chain[i + 1] > chain[i])
-            for chain in _box_chains(Lam, lam)]
+    layer = {(lam + (0,) * (rows - len(lam)), -1): [1] + [0] * (r - 1)}
+    for m in range(sum(Lam) - sum(lam)):
+        nxt = {}
+        for (cur, last), counts in layer.items():
+            for i in range(rows):
+                if cur[i] < Lam[i] and (i == 0 or cur[i] < cur[i - 1]):
+                    shift = m if i > last else 0
+                    key = (cur[:i] + (cur[i] + 1,) + cur[i + 1:], i)
+                    acc = nxt.setdefault(key, [0] * r)
+                    for c, v in enumerate(counts):
+                        acc[(c + shift) % r] += v
+        layer = nxt
+    total = [0] * r
+    for counts in layer.values():
+        for c, v in enumerate(counts):
+            total[c] += v
+    return total
 
 
 def rht_count_maj(Lam, lam, r):
     """Tableau count as sign times the major-index generating function of
     standard Young tableaux evaluated at a primitive r-th root of unity,
     computed exactly in the cyclotomic quotient ring."""
-    size = sum(normalize_partition(Lam)) - sum(normalize_partition(lam))
-    if size % r:
-        raise ValueError("skew size %d not divisible by r=%d" % (size, r))
-    if size == 0:
+    Lam, lam = _skew(Lam, lam, r)
+    if Lam == lam:
         return 1
-    total = CycloElt(r, UPoly())
-    for m in standard_tableaux_maj(Lam, lam):
-        total = total + CycloElt.zeta_power(r, m)
+    total = CycloElt(r, UPoly(_maj_residues(Lam, lam, r)))
     sgn = rht_sign(Lam, lam, r)
     val = sgn * total
     if not val.is_rational():

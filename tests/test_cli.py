@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from flagcsm.cli import EXIT_DOMAIN, main
+from flagcsm.cli import EXIT_DOMAIN, EXIT_INVARIANT, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -133,6 +133,41 @@ def test_rht_all_agreement():
     lines = got.strip().splitlines()
     counts = {ln.split()[0]: int(ln.split()[1]) for ln in lines}
     assert len(set(counts.values())) == 1
+
+
+def test_rht_refuses_large_enumeration_up_front(monkeypatch, capsys):
+    # the refusal must come before any tableau is listed; (5,5,5,5) with
+    # r = 1 has 1,662,804 tableaux and 7,350,480 search nodes
+    def no_listing(*args):
+        raise AssertionError("listed tableaux before refusing")
+
+    monkeypatch.setattr("flagcsm.rht.enumerate_rht", no_listing)
+    for method in ("enumerate", "all"):
+        code, got = run(["rht", "--outer", "5,5,5,5", "--r", "1",
+                         "--method", method])
+        assert code == EXIT_DOMAIN and got == ""
+        assert "would visit 7350480" in capsys.readouterr().err
+    # the polynomial-time methods are not bounded by it
+    for method, want in (("limit", "1662804\n"), ("maj", "1662804\n"),
+                         ("hook", "1662804\n")):
+        assert run(["rht", "--outer", "5,5,5,5", "--r", "1",
+                    "--method", method]) == (0, want)
+
+
+def test_rht_counting_failure_exits_4(monkeypatch, capsys):
+    from flagcsm.exact import ExactnessError, PoleError
+
+    for exc in (PoleError("pole"), ExactnessError("inexact"),
+                AssertionError("parity")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("flagcsm.rht.rht_count_limit", fail)
+        for method in ("limit", "all"):
+            code, got = run(["rht", "--outer", "4,4,1", "--inner", "1",
+                             "--r", "2", "--method", method])
+            assert code == EXIT_INVARIANT and got == ""
+            assert capsys.readouterr().err == "error: %s\n" % exc
 
 
 def test_scan_positivity_small():

@@ -1,8 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from flagcsm.exact import CycloElt, UPoly, cyclotomic, limit_ratio_at_root
+from flagcsm.exact import (
+    CycloElt,
+    UPoly,
+    limit_ratio_at_root,
+    ring,
+)
+from flagcsm.grassmann import contains
+from flagcsm.perm import grassmannian_from_partition
 from flagcsm.rht import (
     enumerate_rht,
     hook_lengths,
@@ -10,9 +18,9 @@ from flagcsm.rht import (
     rht_count_limit,
     rht_count_maj,
     rht_sign,
-    standard_tableaux_maj,
     y_poly,
 )
+from flagcsm.schubert import double_schubert, localize
 
 
 def all_partitions_in(k, cols):
@@ -25,6 +33,43 @@ def all_partitions_in(k, cols):
             rec(prefix + [p], row + 1, p)
     rec([], 0, cols)
     return sorted(set(out))
+
+
+def standard_tableaux_maj(Lam, lam):
+    """Reference listing: the major index of every standard Young tableau
+    of Lam/lam, i.e. the sum of i such that box i+1 sits in a strictly
+    lower row than box i, one growth chain at a time."""
+    Lam, lam = tuple(Lam), tuple(lam) + (0,) * (len(Lam) - len(lam))
+    out = []
+
+    def rec(cur, last_row, m, maj):
+        if cur == Lam:
+            out.append(maj)
+            return
+        for i in range(len(Lam)):
+            if cur[i] < Lam[i] and (i == 0 or cur[i] < cur[i - 1]):
+                nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
+                rec(nxt, i, m + 1, maj + (m if i > last_row else 0))
+
+    rec(lam, -1, 0, 0)
+    return out
+
+
+def reference_y_poly(lam, Lam, k, n):
+    """y_poly's definition taken literally: the double Schubert polynomial
+    of the inner shape, localized at the outer shape's fixed point, with
+    t_i -> z^i."""
+    loc = localize(double_schubert(grassmannian_from_partition(lam, k, n)),
+                   grassmannian_from_partition(Lam, k, n))
+    rg = ring(n)
+    t_slots = [rg.t_slot(i) for i in range(1, n + 1)]
+    coeffs = {}
+    for e, c in loc.terms.items():
+        d = sum(i * e[s] for i, s in enumerate(t_slots, start=1))
+        assert sum(e) == sum(e[s] for s in t_slots), "non-t variable left"
+        coeffs[d] = coeffs.get(d, 0) + c
+    top = max(coeffs, default=-1)
+    return UPoly([coeffs.get(d, 0) for d in range(top + 1)])
 
 
 def skew_pairs(k, cols, r):
@@ -54,7 +99,55 @@ def test_sign_examples():
 def test_sign_parity_invariance():
     for r in (2, 3):
         for Lam, lam in skew_pairs(4, 4, r):
-            rht_sign(Lam, lam, r)  # raises on parity mismatch
+            enumerate_rht(Lam, lam, r)  # raises on parity mismatch
+
+
+def all_skews(k, cols):
+    shapes = all_partitions_in(k, cols)
+    return [(Lam, lam) for Lam in shapes for lam in shapes
+            if contains(Lam, lam)]
+
+
+def test_rht_sign_is_first_enumerated_parity():
+    for k, cols in ((4, 4), (3, 5)):
+        for Lam, lam in all_skews(k, cols):
+            for r in range(2, 6):
+                if (sum(Lam) - sum(lam)) % r:
+                    continue
+                tabs = enumerate_rht(Lam, lam, r)
+                want = 0 if not tabs else (-1) ** tabs[0].total_height
+                assert rht_sign(Lam, lam, r) == want, (Lam, lam, r)
+            # one-box hooks have height 0
+            assert rht_sign(Lam, lam, 1) == 1
+
+
+def test_maj_count_matches_listing():
+    for k, cols in ((4, 4), (3, 5)):
+        for Lam, lam in all_skews(k, cols):
+            majs = Counter(standard_tableaux_maj(Lam, lam))
+            for r in range(1, 6):
+                if (sum(Lam) - sum(lam)) % r:
+                    continue
+                at_root = CycloElt(r, UPoly())
+                for m, times in majs.items():
+                    at_root = at_root + times * CycloElt.zeta_power(r, m)
+                count = rht_count_maj(Lam, lam, r)
+                assert at_root == rht_sign(Lam, lam, r) * count, \
+                    (Lam, lam, r, count)
+
+
+def test_y_poly_matches_localized_double_schubert():
+    for k, cols in ((3, 3), (4, 4), (2, 5)):
+        for Lam, lam in all_skews(k, cols):
+            dk = max(len(Lam), 1)
+            dn = dk + (Lam[0] if Lam else 1)
+            assert y_poly(lam, Lam) == reference_y_poly(lam, Lam, dk, dn), \
+                (Lam, lam)
+    for Lam, lam, k, n in [((2, 1), (1,), 2, 4), ((2, 1), (), 3, 5),
+                           ((2, 2), (1,), 3, 6), ((3, 1), (3,), 2, 5),
+                           ((2, 2, 1), (2, 1), 4, 6), ((1,), (1,), 5, 7)]:
+        assert y_poly(lam, Lam, k, n) == reference_y_poly(lam, Lam, k, n), \
+            (Lam, lam, k, n)
 
 
 def test_y_poly_examples():
