@@ -1,7 +1,6 @@
 """Demazure-Lusztig operators, CSM class representatives for Schubert
-cells, their fixed-point localizations, expansion of classes in the CSM
-basis, and the brute-force product oracle used to verify every
-closed-form rule.
+cells, expansion of classes in the CSM basis, and the brute-force product
+oracle used to verify every closed-form rule.
 
 A CSM class is represented by a polynomial obtained from the point class
 (the top double Schubert polynomial) by a chain of Demazure-Lusztig
@@ -9,18 +8,17 @@ operators.  Representatives are only well defined modulo the symmetric
 ideal, so nothing here ever asserts equality of raw representatives:
 all comparisons go through basis coefficients.
 
-The equivariant oracle never multiplies representatives.  It tabulates
-the localizations csm(w)|_u with T_i = -s_i + d_i acting on localization
-vectors, forms the product pointwise at the fixed points, and recovers
-the coefficients by the fixed-point interpolation of `schubert`
-(Goresky-Kottwitz-MacPherson).  The nonequivariant oracle keeps the
-operator-transport route (the DL walk in `expand_in_csm`), so the two
-routes check each other at t = 0.
+The equivariant oracle never multiplies representatives.  It reads the
+localizations basis(u)|_w from `schubert.localization_table`, forms the
+product pointwise at the fixed points, and recovers the coefficients by
+the fixed-point interpolation of `schubert` (Goresky-Kottwitz-MacPherson).
+The nonequivariant CSM oracle keeps the operator-transport route (the DL
+walk in `expand_in_csm`), so the two routes check each other at t = 0.
 """
 
 from __future__ import annotations
 
-from .exact import divide_exact_linear, divided_difference, ring
+from .exact import divided_difference, ring
 from .perm import Permutation, all_permutations
 from .schubert import (
     _LOC_TABLE,
@@ -28,9 +26,8 @@ from .schubert import (
     CohClass,
     double_schubert,
     interpolate,
+    localization_table,
     localize,
-    schubert_diagonal_factors,
-    schubert_localization,
 )
 
 
@@ -70,67 +67,6 @@ def csm_class(w):
     return cur
 
 
-_CSM_LOC_TABLE = {}
-
-
-def csm_localization(w):
-    """The localizations {u: csm(w)|_u} over the support u >= w; cached
-    per n.
-
-    csm(w0) is the point class, supported at w0 alone.  Otherwise take an
-    ascent i of w (w(i) < w(i+1)), so csm(w) = T_i csm(w s_i), and
-    localize T_i = -s_i + d_i: with w' = w s_i,
-
-        csm(w)|_u = (csm(w')|_u - csm(w')|_{u s_i}) / (t_{u(i)} - t_{u(i+1)})
-                    - csm(w')|_{u s_i}.
-
-    The quotient is the same at u and u s_i, so it is computed once per
-    pair; each division must be exact."""
-    n = w.n
-    table = _CSM_LOC_TABLE.setdefault(n, {})
-    hit = table.get(w)
-    if hit is not None:
-        return hit
-    w0 = Permutation.longest(n)
-    if w == w0:
-        vec = {w0: localize(double_schubert(w0), w0)}
-    else:
-        i = next(i for i in range(1, n) if w(i) < w(i + 1))
-        s = Permutation.transposition(i, i + 1, n)
-        prev = csm_localization(w.compose(s))
-        rg = ring(n)
-        zero = rg.zero
-        vec = {}
-        pairs = dict.fromkeys(u if u(i) < u(i + 1) else u.compose(s)
-                              for u in prev)
-        for u in pairs:
-            us = u.compose(s)
-            a, b = prev.get(u, zero), prev.get(us, zero)
-            q = divide_exact_linear(a - b, rg.t(u(i)) - rg.t(u(i + 1)))
-            for point, val in ((u, q - b), (us, q - a)):
-                if not val.is_zero():
-                    vec[point] = val
-    table[w] = vec
-    return vec
-
-
-def _csm_lookup(v, w):
-    return csm_localization(v).get(w)
-
-
-def csm_diagonal_factors(w):
-    """The linear factors of csm(w)|_w: those of the Schubert diagonal,
-    t_{w(a)} - t_{w(b)} per inversion, and 1 + t_{w(a)} - t_{w(b)} per
-    pair a < b with w(a) < w(b)."""
-    rg = ring(w.n)
-    out = schubert_diagonal_factors(w)
-    for a in range(1, w.n + 1):
-        for b in range(a + 1, w.n + 1):
-            if w(a) < w(b):
-                out.append(rg.one + rg.t(w(a)) - rg.t(w(b)))
-    return out
-
-
 def csm_class_nonequivariant(w):
     """The t = 0 specialization of the CSM representative."""
     n = w.n
@@ -156,9 +92,8 @@ def expand_in_csm(f, n, equivariant=True):
     order, so each permutation costs one operator application; the
     coefficient at w is the constant term of T_w(f)."""
     if equivariant:
-        points = all_permutations(n)
-        return interpolate("csm", points, [localize(f, w) for w in points],
-                           _csm_lookup, csm_diagonal_factors)
+        return interpolate("csm", {w: localize(f, w)
+                                   for w in all_permutations(n)})
     if any(any(e[n:]) for e in f.terms):
         raise ValueError("nonequivariant expansion needs t-free input")
     rg = ring(n)
@@ -182,35 +117,29 @@ def expand_in_csm(f, n, equivariant=True):
 def oracle_product(u, g, basis, equivariant=True):
     """Brute-force product of u's class (CSM or Schubert) by g.
 
-    Equivariantly, and in the Schubert basis, the product is formed
-    pointwise, basis(u)|_w * g|_w over the support of u's class, and
+    Equivariantly, in either basis, the product is formed pointwise,
+    basis(u)|_w * g|_w over the localization table of u, and
     interpolated; the product polynomial is never built.  The
     nonequivariant CSM product multiplies the t = 0 representatives and
     walks Demazure-Lusztig operators.  The independent verifier for every
-    closed-form rule."""
+    closed-form rule.
+
+    Nothing here is bounded: at n >= 6 the tables and the interpolation
+    grow with n! (the CSM table of the identity at n = 6 takes about 50 s
+    and 1.4 GB to build), and the nonequivariant CSM route transports the
+    2^(n(n-1)/2)-term top double Schubert polynomial."""
     n = u.n
-    rg = ring(n)
-    if basis == "csm":
-        if not equivariant:
-            g0 = g.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
-            return expand_in_csm(csm_class_nonequivariant(u) * g0, n, False)
-        support = csm_localization(u)
-        loc, diagonal = _csm_lookup, csm_diagonal_factors
-    elif basis == "schubert":
-        support = {w: schubert_localization(u, w) for w in all_permutations(n)
-                   if u.bruhat_le(w)}
-        loc, diagonal = schubert_localization, schubert_diagonal_factors
-    else:
-        raise ValueError("basis must be 'csm' or 'schubert'")
-    points = [w for w in all_permutations(n) if w in support]
-    got = interpolate(basis, points,
-                      [support[w] * localize(g, w) for w in points],
-                      loc, diagonal)
+    if basis == "csm" and not equivariant:
+        rg = ring(n)
+        g0 = g.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
+        return expand_in_csm(csm_class_nonequivariant(u) * g0, n, False)
+    got = interpolate(basis, {w: val * localize(g, w) for w, val
+                              in localization_table(basis, u).items()})
     return got if equivariant else got.specialize_t0()
 
 
 def clear_caches():
     """Empty every per-n memo table: Schubert polynomials, CSM
-    representatives, Schubert localizations and CSM localizations."""
-    for table in (_SCHUB_CACHE, _CSM_CACHE, _LOC_TABLE, _CSM_LOC_TABLE):
+    representatives, and the localization tables of both bases."""
+    for table in (_SCHUB_CACHE, _CSM_CACHE, _LOC_TABLE):
         table.clear()

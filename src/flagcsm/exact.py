@@ -685,7 +685,8 @@ def vanishing_order(f, r):
     """Multiplicity of Phi_r in f, plus the nonzero unit f/Phi_r^order
     viewed in Q[z]/Phi_r."""
     if f.is_zero():
-        raise ValueError("vanishing order of the zero polynomial is undefined")
+        raise ExactnessError("vanishing order of the zero polynomial is "
+                             "undefined")
     phi = cyclotomic(r)
     order = 0
     while True:

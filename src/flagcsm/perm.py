@@ -120,13 +120,6 @@ class Permutation:
         ol = self.oneline
         return tuple(i + 1 for i in range(len(ol) - 1) if ol[i] > ol[i + 1])
 
-    def bruhat_le(self, other):
-        """Bruhat order by the tableau criterion: for every i, the sorted
-        first i values of self are entrywise at most those of other."""
-        a, b = self.oneline, other.oneline
-        return all(x <= y for i in range(1, len(a))
-                   for x, y in zip(sorted(a[:i]), sorted(b[:i])))
-
     # -- words
 
     def reduced_word(self):

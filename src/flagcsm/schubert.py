@@ -3,18 +3,22 @@ localization, and expansion of equivariant classes by fixed-point
 interpolation.
 
 A class is determined by its localizations at the torus-fixed points
-(the permutations).  `interpolate` recovers its coefficients in a basis
-whose element v localizes to zero at every w not above v in Bruhat
-order: processing the points along a linear extension of Bruhat order,
-each coefficient is the residual localization divided (exactly) by the
-basis element's diagonal value, a product of linear forms.  The Schubert
-basis has diagonal factors t_i - t_j; the CSM basis (`csm`) shares the
-loop with one more factor 1 + t_i - t_j per non-inversion.
+(the permutations).  `localization_table` computes them for the Schubert
+and CSM bases by one recursion on localization vectors: from the point
+class at w0, the localized d_i (Schubert) or T_i = -s_i + d_i (CSM)
+lowers w one ascent at a time, and no polynomial representative is
+built.  `interpolate` recovers the coefficients of a class in either
+basis, each of whose elements v localizes to zero at every w not above v
+in Bruhat order: processing the points along a linear extension of
+Bruhat order, each coefficient is the residual localization divided
+(exactly) by the basis element's diagonal value, a product of linear
+forms (`diagonal_factors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .exact import MPoly, divide_exact_linear, divided_difference, ring
 from .perm import Permutation, all_permutations, coset_decompose
@@ -166,63 +170,100 @@ def double_schubert(w):
     return cur
 
 
-def schubert_diagonal_factors(u):
-    """The localization S_u(ut, t) as its forced list of linear factors
-    t_{u(a)} - t_{u(b)}, one per inversion pair of u."""
-    rg = ring(u.n)
-    out = []
-    for a in range(1, u.n + 1):
-        for b in range(a + 1, u.n + 1):
-            if u(a) > u(b):
-                out.append(rg.t(u(a)) - rg.t(u(b)))
+def diagonal_factors(basis, w):
+    """The localization basis(w)|_w as its forced list of linear factors:
+    t_{w(a)} - t_{w(b)} per inversion pair a < b of w, and in the CSM
+    basis also 1 + t_{w(a)} - t_{w(b)} per non-inversion pair."""
+    if basis not in ("schubert", "csm"):
+        raise ValueError("basis must be 'csm' or 'schubert'")
+    rg = ring(w.n)
+    pairs = [(w(a), w(b)) for a in range(1, w.n + 1)
+             for b in range(a + 1, w.n + 1)]
+    out = [rg.t(p) - rg.t(q) for p, q in pairs if p > q]
+    if basis == "csm":
+        out += [rg.one + rg.t(p) - rg.t(q) for p, q in pairs if p < q]
     return out
 
 
 _LOC_TABLE = {}
 
 
-def schubert_localization(v, u):
-    """Cached S_v(ut, t)."""
-    table = _LOC_TABLE.setdefault(v.n, {})
-    key = (v, u)
-    hit = table.get(key)
-    if hit is None:
-        hit = localize(double_schubert(v), u)
-        table[key] = hit
-    return hit
+def localization_table(basis, w):
+    """The localizations {u: basis(w)|_u} over the support u >= w, zero
+    values left out; cached per n, keyed by (basis, w).
+
+    At w0 both classes are the point class, whose one localization is the
+    product of its diagonal factors.  Otherwise take an ascent i of w
+    (w(i) < w(i+1)), so basis(w) = D_i basis(w s_i) with D_i = d_i for
+    Schubert classes and T_i = -s_i + d_i for CSM classes, and localize
+    D_i: with a = basis(w s_i)|_u and b = basis(w s_i)|_{u s_i},
+
+        basis(w)|_u = (a - b) / (t_{u(i)} - t_{u(i+1)}) [- b for T_i].
+
+    The quotient is the same at u and u s_i, so it is computed once per
+    pair; each division must be exact."""
+    n = w.n
+    table = _LOC_TABLE.setdefault(n, {})
+    hit = table.get((basis, w))
+    if hit is not None:
+        return hit
+    rg = ring(n)
+    i = next((i for i in range(1, n) if w(i) < w(i + 1)), None)
+    if i is None:
+        vec = {w: prod(diagonal_factors(basis, w), start=rg.one)}
+    else:
+        s = Permutation.transposition(i, i + 1, n)
+        prev = localization_table(basis, w.compose(s))
+        zero = rg.zero
+        vec = {}
+        pairs = dict.fromkeys(u if u(i) < u(i + 1) else u.compose(s)
+                              for u in prev)
+        for u in pairs:
+            us = u.compose(s)
+            a, b = prev.get(u, zero), prev.get(us, zero)
+            q = divide_exact_linear(a - b, rg.t(u(i)) - rg.t(u(i + 1)))
+            if basis == "csm":
+                vals = ((u, q - b), (us, q - a))
+            else:
+                vals = ((u, q), (us, q))
+            for point, val in vals:
+                if not val.is_zero():
+                    vec[point] = val
+    table[(basis, w)] = vec
+    return vec
 
 
-def interpolate(basis, points, values, loc, diagonal):
-    """The class with localization values[j] at points[j] and zero at
-    every other fixed point, expanded in a triangular basis.
+def interpolate(basis, values):
+    """The class with localization values[w] at each point w of a
+    nonempty {point: value} map and zero at every other fixed point,
+    expanded in `basis`.
 
-    `points` run in `all_permutations` order (a linear extension of Bruhat
-    order); `loc(v, w)` is the basis element v at the point w, None or zero
-    unless v <= w; `diagonal(w)` lists the linear factors of loc(w, w).
-    Divisions by those factors must be exact."""
+    The points run in `all_permutations` order, a linear extension of
+    Bruhat order.  At each, the coefficient is the residual localization
+    divided by the diagonal factors of `basis`; those divisions must be
+    exact."""
     coeffs = {}
-    for w, val in zip(points, values):
+    for w in all_permutations(next(iter(values)).n):
+        val = values.get(w)
+        if val is None:
+            continue
         for v, cv in coeffs.items():
-            sv = loc(v, w)
-            if sv is not None and not sv.is_zero():
+            sv = localization_table(basis, v).get(w)
+            if sv is not None:
                 val = val - cv * sv
         if val.is_zero():
             continue
-        for form in diagonal(w):
+        for form in diagonal_factors(basis, w):
             val = divide_exact_linear(val, form)
         coeffs[w] = val
-    out = CohClass(basis, True)
-    for w, c in coeffs.items():
-        out.add(w, c)
-    return out
+    return CohClass(basis, True, coeffs)
 
 
 def expand_in_schubert(f, n):
     """Coefficients c_w(t) with f = sum c_w S_w(x,t) modulo the symmetric
     ideal, by interpolation over all fixed points."""
-    points = all_permutations(n)
-    return interpolate("schubert", points, [localize(f, u) for u in points],
-                       schubert_localization, schubert_diagonal_factors)
+    return interpolate("schubert",
+                       {u: localize(f, u) for u in all_permutations(n)})
 
 
 def giambelli_hook(alpha, beta, k, n):

@@ -155,7 +155,7 @@ def test_rht_refuses_large_enumeration_up_front(monkeypatch, capsys):
 
 
 def test_rht_counting_failure_exits_4(monkeypatch, capsys):
-    from flagcsm.exact import ExactnessError, PoleError
+    from flagcsm.exact import ExactnessError, PoleError, UPoly
 
     for exc in (PoleError("pole"), ExactnessError("inexact"),
                 AssertionError("parity")):
@@ -168,6 +168,14 @@ def test_rht_counting_failure_exits_4(monkeypatch, capsys):
                              "--r", "2", "--method", method])
             assert code == EXIT_INVARIANT and got == ""
             assert capsys.readouterr().err == "error: %s\n" % exc
+
+    # a zero Y polynomial has no vanishing order at the root of unity
+    monkeypatch.undo()
+    monkeypatch.setattr("flagcsm.rht.y_poly", lambda *args: UPoly())
+    code, got = run(["rht", "--outer", "4,4,1", "--inner", "1", "--r", "2",
+                     "--method", "limit"])
+    assert code == EXIT_INVARIANT and got == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_scan_positivity_small():

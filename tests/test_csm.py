@@ -7,15 +7,19 @@ from flagcsm.csm import (
     clear_caches,
     csm_class,
     csm_class_nonequivariant,
-    csm_diagonal_factors,
-    csm_localization,
     dl_operator,
     expand_in_csm,
     oracle_product,
 )
 from flagcsm.exact import ring
 from flagcsm.perm import Permutation, all_permutations
-from flagcsm.schubert import double_schubert, expand_in_schubert, localize
+from flagcsm.schubert import (
+    diagonal_factors,
+    double_schubert,
+    expand_in_schubert,
+    localization_table,
+    localize,
+)
 from flagcsm.symfun import power_sum, schur_hook, x_range
 
 
@@ -219,9 +223,9 @@ def test_csm_localization_table_matches_representatives():
     # the diagonal entry.
     for n in (2, 3, 4):
         for w in all_permutations(n):
-            table = csm_localization(w)
+            table = localization_table("csm", w)
             diag = ring(n).one
-            for form in csm_diagonal_factors(w):
+            for form in diagonal_factors("csm", w):
                 diag = diag * form
             assert table[w] == diag
             for u in all_permutations(n):
@@ -253,10 +257,38 @@ def test_clear_caches():
     g = schur_hook(n, 1, 1, x_range(2))
     want = {b: oracle_product(u, g, b) for b in ("csm", "schubert")}
     csm_class(u)
-    tables = (schubert._SCHUB_CACHE, csm._CSM_CACHE, schubert._LOC_TABLE,
-              csm._CSM_LOC_TABLE)
+    tables = (schubert._SCHUB_CACHE, csm._CSM_CACHE, schubert._LOC_TABLE)
     assert all(tables)
     clear_caches()
     assert not any(tables)
     for b, coh in want.items():
         assert oracle_product(u, g, b) == coh
+
+
+def test_equivariant_oracle_and_scan_read_only_tables(monkeypatch):
+    # the equivariant oracle in both bases and the schubert-expansion scan
+    # answer from the localization tables alone: no polynomial
+    # representative is built once the caches are empty
+    import io
+
+    from flagcsm.cli import main
+
+    n = 4
+    u = P("1324")
+    g = schur_hook(n, 1, 0, x_range(2))
+    want = {b: oracle_product(u, g, b) for b in ("csm", "schubert")}
+    clear_caches()
+
+    def no_build(*args):
+        raise AssertionError("built a polynomial representative")
+
+    for name in ("flagcsm.schubert.double_schubert",
+                 "flagcsm.csm.double_schubert", "flagcsm.csm.csm_class"):
+        monkeypatch.setattr(name, no_build)
+    for b, coh in want.items():
+        assert oracle_product(u, g, b) == coh
+    buf = io.StringIO()
+    assert main(["scan-positivity", "--n", "3", "--mode",
+                 "schubert-expansion"], out=buf) == 0
+    assert buf.getvalue() == \
+        "ok mode=schubert-expansion n=3 classes=6 violations=0\n"

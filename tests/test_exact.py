@@ -178,6 +178,9 @@ def test_vanishing_order_examples():
     order, _ = vanishing_order(g, 2)
     assert order == 3
 
+    with pytest.raises(ExactnessError):
+        vanishing_order(UPoly(), 2)
+
 
 def test_vanishing_order_multiplicative():
     rnd = random.Random(99)

@@ -5,13 +5,14 @@ from flagcsm.perm import Permutation, all_permutations, grassmannian_from_partit
 from flagcsm.schubert import (
     column_perm,
     demazure_i,
+    diagonal_factors,
     double_schubert,
     expand_in_schubert,
     giambelli_hook,
+    localization_table,
     localize,
     molev_class,
     row_perm,
-    schubert_diagonal_factors,
 )
 from flagcsm.symfun import schur_general, x_range
 
@@ -114,24 +115,39 @@ def test_localization_vanishing_s3():
 
         return rec(0, Permutation.identity(n))
 
-    # subword property: scan letters of w's word left to right; the
-    # tableau criterion of Permutation.bruhat_le must agree
+    # subword property: scan letters of w's word left to right
     for n in (3, 4):
         for u in all_permutations(n):
             su = double_schubert(u)
             for w in all_permutations(n):
                 vanishes = localize(su, w).is_zero()
                 assert vanishes == (not bruhat_leq(u, w))
-                assert vanishes == (not u.bruhat_le(w))
 
 
 def test_diagonal_factors_match_localization():
     for n in (2, 3, 4):
         for u in all_permutations(n):
             prod = ring(n).one
-            for f in schubert_diagonal_factors(u):
+            for f in diagonal_factors("schubert", u):
                 prod = prod * f
             assert prod == localize(double_schubert(u), u)
+
+
+def test_schubert_localization_table_matches_representatives():
+    # the localized d_i recursion against localizing the divided-difference
+    # representatives at every pair of S4 and S5: a point is a key of the
+    # table exactly when the localization there is nonzero
+    for n in (4, 5):
+        perms = all_permutations(n)
+        for v in perms:
+            table = localization_table("schubert", v)
+            sv = double_schubert(v)
+            for u in perms:
+                loc = localize(sv, u)
+                if u in table:
+                    assert table[u] == loc and not loc.is_zero(), (v, u)
+                else:
+                    assert loc.is_zero(), (v, u)
 
 
 def test_expand_unit_and_roundtrip():
