@@ -90,12 +90,18 @@ def _is_cover(ol, a, b):
     return True
 
 
-def _edges(ol, k, cover_only):
+def _edges(ol, k, cover_only, lo=0, hi=None):
     """The k-edges out of the one-line tuple ol, as (a, b, tau, target
-    tuple, cover) in order of a, then b."""
+    tuple, cover) in order of a, then b; only labels lo < tau < hi (hi
+    None: no upper bound), a row a being skipped before any target is
+    built."""
     n = len(ol)
+    if hi is None:
+        hi = n + 1
     for a in range(1, k + 1):
         ua = ol[a - 1]
+        if not lo < ua < hi:
+            continue
         for b in range(k + 1, n + 1):
             ub = ol[b - 1]
             if ua < ub:
@@ -176,27 +182,33 @@ def _walk(u, k, shape, cover_only, visit):
 
     # first/second count the steps of each phase, so the path has turned
     # once second > 0; consecutive labels never repeat, since the last
-    # label's value has just moved past position k
+    # label's value has just moved past position k.  The label window
+    # (lo, hi) admits exactly the steps the automaton accepts: any label
+    # while both directions are open, else only those past `last` in the
+    # one direction left.
     def rec(v, last, first, second):
         inc, dec = (first, second) if up_first else (second, first)
         if accept(len(steps), inc, dec):
             visit(v, steps, inc, dec)
         more_first = second == 0 and first < max_first
+        more_second = second < max_second
         if len(steps) == max_len or (
-                steps and not more_first and second == max_second):
+                steps and not more_first and not more_second):
             return  # no step is left, so no edge scan
-        for step in _edges(v, k, cover_only):
+        if not steps or (more_first and more_second):
+            lo, hi = 0, None
+        elif more_first == up_first:  # only upward steps are left
+            lo, hi = last, None
+        else:
+            lo, hi = 0, last
+        for step in _edges(v, k, cover_only, lo, hi):
             tau = step[2]
             if not steps:
                 state = (0, 0)
             elif (tau > last) == up_first:
-                if not more_first:
-                    continue
                 state = (first + 1, 0)
-            elif second < max_second:
-                state = (first, second + 1)
             else:
-                continue
+                state = (first, second + 1)
             steps.append(step)
             rec(step[3], tau, *state)
             steps.pop()
@@ -244,7 +256,10 @@ def count_paths(u, k, shape, cover_only=False):
     counts = {}
 
     def visit(v, steps, inc, dec):
-        counts.setdefault(v, Counter())[inc, dec] += 1
+        by_stats = counts.get(v)
+        if by_stats is None:
+            by_stats = counts[v] = Counter()
+        by_stats[inc, dec] += 1
 
     _walk(u.oneline, k, shape, cover_only, visit)
     return {Permutation(v): c for v, c in sorted(counts.items())}

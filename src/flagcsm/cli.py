@@ -264,14 +264,12 @@ def cmd_grassmann(args, out):
 
 def _scan_product_mode(n):
     from .csm import csm_class_nonequivariant, expand_in_csm
+    from .exact import at_t0
     from .perm import all_permutations
     from .schubert import double_schubert
-    from .exact import ring
 
-    rg = ring(n)
-    t0 = {rg.t_slot(i): 0 for i in range(1, n + 1)}
     perms = all_permutations(n)
-    singles = {v: double_schubert(v).specialize(t0) for v in perms}
+    singles = {v: at_t0(double_schubert(v)) for v in perms}
 
     violations = []
     for u in perms:

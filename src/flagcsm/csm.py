@@ -18,7 +18,7 @@ walk in `expand_in_csm`), so the two routes check each other at t = 0.
 
 from __future__ import annotations
 
-from .exact import divided_difference, ring
+from .exact import at_t0, divided_difference, ring
 from .perm import Permutation, all_permutations
 from .schubert import (
     _LOC_TABLE,
@@ -69,9 +69,7 @@ def csm_class(w):
 
 def csm_class_nonequivariant(w):
     """The t = 0 specialization of the CSM representative."""
-    n = w.n
-    rg = ring(n)
-    return csm_class(w).specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
+    return at_t0(csm_class(w))
 
 
 def _min_left_descent(w):
@@ -130,9 +128,7 @@ def oracle_product(u, g, basis, equivariant=True):
     2^(n(n-1)/2)-term top double Schubert polynomial."""
     n = u.n
     if basis == "csm" and not equivariant:
-        rg = ring(n)
-        g0 = g.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
-        return expand_in_csm(csm_class_nonequivariant(u) * g0, n, False)
+        return expand_in_csm(csm_class_nonequivariant(u) * at_t0(g), n, False)
     got = interpolate(basis, {w: val * localize(g, w) for w, val
                               in localization_table(basis, u).items()})
     return got if equivariant else got.specialize_t0()

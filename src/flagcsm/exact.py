@@ -432,10 +432,8 @@ def canonical_str(p):
     pieces = []
     for e in order:
         c = p.terms[e]
-        mono = "*".join(
-            names[i] + ("^%d" % d if d > 1 else "")
-            for i, d in enumerate(e) if d
-        )
+        mono = "*".join([names[i] + ("^%d" % d if d > 1 else "")
+                         for i, d in enumerate(e) if d])
         if not mono:
             s = _coef_str(c)
         elif c == 1:
@@ -444,11 +442,17 @@ def canonical_str(p):
             s = "-" + mono
         else:
             s = _coef_str(c) + "*" + mono
-        pieces.append(s)
-    out = pieces[0]
-    for s in pieces[1:]:
-        out += s if s.startswith("-") else "+" + s
-    return out
+        pieces.append(s if s[0] == "-" else "+" + s)
+    out = "".join(pieces)
+    return out[1:] if out[0] == "+" else out
+
+
+def at_t0(p):
+    """p at t1 = .. = tn = 0: the terms of p with no t exponent."""
+    n = (p.nvars - 2) // 2
+    p0 = MPoly(p.nvars)
+    p0.terms = {e: c for e, c in p.terms.items() if not any(e[n:2 * n])}
+    return p0
 
 
 # ---------------------------------------------------------------------------

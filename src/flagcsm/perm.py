@@ -80,8 +80,8 @@ class Permutation:
 
     def __str__(self):
         if self.n <= 9:
-            return "".join(str(v) for v in self.oneline)
-        return ",".join(str(v) for v in self.oneline)
+            return "".join(map(str, self.oneline))
+        return ",".join(map(str, self.oneline))
 
     def compose(self, other):
         """(self . other)(i) = self(other(i))."""

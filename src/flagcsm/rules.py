@@ -57,16 +57,33 @@ def _pieri_hook(u, k, hook, equivariant, cover_only, basis):
     alpha, beta = hook
     rg = ring(n)
     out = CohClass(basis, equivariant)
-    counts = _peakless_counts(u, k, alpha, beta, cover_only)
     if not equivariant:
+        # only the paths with in = alpha and de = beta are counted
+        counts = count_paths(u, k, ("peakless", alpha, beta), cover_only)
+        counts.pop(u, None)
         for w, by_stats in counts.items():
             out.add(w, rg.const(by_stats[alpha, beta]))
         return out
     out.add(u, schur_hook(n, alpha, beta, _diag_subset(u, k)))
-    for w, by_stats in counts.items():
-        sd = sigma_delta(u, w, range(1, k + 1))
-        out.add(w, _dress(n, sd, by_stats, alpha, beta))
+    _add_per_key(out, u, range(1, k + 1),
+                 _peakless_counts(u, k, alpha, beta, cover_only),
+                 lambda sd, by_stats: _dress(n, sd, by_stats, alpha, beta))
     return out
+
+
+def _add_per_key(out, u, A, counts, coeff):
+    """Add coeff(Sigma_A/Delta_A, counts) at each endpoint w of counts.
+    The coefficient depends on w only through the values it moves and its
+    counts, so it is computed once per distinct such key; the memo lives
+    for this call, and endpoints sharing a key share one (never mutated)
+    polynomial."""
+    memo = {}
+    for w, by_stats in counts.items():
+        key = (moved_values(u, w), frozenset(by_stats.items()))
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = coeff(sigma_delta(u, w, A), by_stats)
+        out.add(w, c)
 
 
 def _dress(n, sd, by_stats, alpha, beta):
@@ -103,15 +120,18 @@ def pieri_schubertclass_csm(u, k, hook):
     w_hook = grassmannian_from_partition((alpha + 1,) + (1,) * beta, k, n)
     out = CohClass("csm", True)
     out.add(u, localize(double_schubert(w_hook), u))
-    for w, by_stats in _peakless_counts(u, k, alpha, beta, False).items():
-        sd = sigma_delta(u, w, range(1, k + 1))
+
+    def coeff(sd, by_stats):
         acc = rg.zero
         for a2 in range(alpha + 1):
             for b2 in range(beta + 1):
                 acc = acc + elem_sym(n, a2, t_range(k + alpha), sign=-1) \
                     * complete_sym(n, b2, t_range(k - beta), sign=-1) \
                     * _dress(n, sd, by_stats, alpha - a2, beta - b2)
-        out.add(w, acc)
+        return acc
+
+    _add_per_key(out, u, range(1, k + 1),
+                 _peakless_counts(u, k, alpha, beta, False), coeff)
     return out
 
 
@@ -139,24 +159,27 @@ def pieri_eh_localized(u, k, r, kind):
     if kind == "column":
         if r > k:
             raise ValueError("column class needs r <= k")
-        shape = "decreasing"
+        shape, class_perm, step = "decreasing", column_perm, -1
     elif kind == "row":
         if k + r > n:
             raise ValueError("row class needs k + r <= n")
-        shape = "increasing"
+        shape, class_perm, step = "increasing", row_perm, 1
     else:
         raise ValueError("kind must be 'column' or 'row'")
     out = CohClass("csm", True)
+    A = range(1, k + 1)
     for rp in range(0, r + 1):
+        m = k + step * rp
+        by_subset = {}  # one localization per Delta (column) or Sigma (row)
         for w in count_paths(u, k, (shape, rp), False):
-            sd = sigma_delta(u, w, range(1, k + 1))
-            if kind == "column":
-                cls = double_schubert(column_perm(k - rp, r - rp, n))
-                spot = _completion_perm(sd.delta, k - rp, n)
-            else:
-                cls = double_schubert(row_perm(k + rp, r - rp, n))
-                spot = _completion_perm(sd.sigma, k + rp, n)
-            out.add(w, localize(cls, spot))
+            sd = sigma_delta(u, w, A)
+            subset = sd.delta if kind == "column" else sd.sigma
+            c = by_subset.get(subset)
+            if c is None:
+                c = by_subset[subset] = localize(
+                    double_schubert(class_perm(m, r - rp, n)),
+                    _completion_perm(subset, m, n))
+            out.add(w, c)
     return out
 
 
@@ -183,6 +206,7 @@ def _mn(u, k, r, equivariant, basis):
     if equivariant:
         out.add(u, power_sum(n, r, _diag_subset(u, k)))
     lu = u.length()
+    h_by_moved = {}  # h_{r-r'} per moved set; r' = len(moved) - 1
     for cyc, eta in cycles_through(u, k, r):
         rp = len(cyc) - 1
         w = u.compose(eta)
@@ -191,7 +215,10 @@ def _mn(u, k, r, equivariant, basis):
         sign = -1 if eta.k_height(k) % 2 else 1
         if equivariant:
             moved = tuple(sorted(u(i) for i in eta.nonfixed_set()))
-            out.add(w, sign * complete_sym(n, r - rp, ts(*moved)))
+            h = h_by_moved.get(moved)
+            if h is None:
+                h = h_by_moved[moved] = complete_sym(n, r - rp, ts(*moved))
+            out.add(w, h if sign > 0 else -h)
         elif rp == r:
             out.add(w, rg.const(sign))
     return out
@@ -237,18 +264,11 @@ def rigidity_lift_hook(u, hook, k=None, A=None):
     n = u.n
     alpha, beta = hook
     A = _lift_subset(k, A)
-    rg = ring(n)
     out = CohClass("csm", True)
     out.add(u, schur_hook(n, alpha, beta,
                           VarSubset("t", tuple(u(i) for i in A))))
-    counts = _nonequivariant_hook_counts(u, A, k, alpha, beta)
-    for w, by_shape in counts.items():
-        sd = sigma_delta(u, w, A)
-        acc = rg.zero
-        for (a2, b2), cnt in by_shape.items():
-            acc = acc + cnt * complete_sym(n, alpha - a2, ts(*sd.sigma)) \
-                * elem_sym(n, beta - b2, ts(*sd.delta))
-        out.add(w, acc)
+    _add_per_key(out, u, A, _nonequivariant_hook_counts(u, A, k, alpha, beta),
+                 lambda sd, by_shape: _dress(n, sd, by_shape, alpha, beta))
     return out
 
 

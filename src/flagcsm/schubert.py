@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .exact import MPoly, divide_exact_linear, divided_difference, ring
+from .exact import MPoly, at_t0, divide_exact_linear, divided_difference, \
+    ring
 from .perm import Permutation, all_permutations, coset_decompose
 
 
@@ -49,9 +50,7 @@ class CohClass:
     def specialize_t0(self):
         out = CohClass(self.basis, False)
         for w, c in self.coeffs.items():
-            n = (c.nvars - 2) // 2
-            rg = ring(n)
-            out.add(w, c.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)}))
+            out.add(w, at_t0(c))
         return out
 
     def __eq__(self, other):
@@ -279,8 +278,7 @@ def giambelli_hook(alpha, beta, k, n):
     w_hook = grassmannian_from_partition(lam, k, n)  # raises on overflow
     rg = ring(n)
 
-    single = double_schubert(w_hook.inverse())
-    single = single.specialize({rg.t_slot(i): 0 for i in range(1, n + 1)})
+    single = at_t0(double_schubert(w_hook.inverse()))
     single = single.substitute({rg.x_slot(i): -rg.t(i) for i in range(1, n + 1)})
 
     out = single

@@ -1,8 +1,12 @@
 """The traced benchmark run reads the module caches by name
 (`bench/layers.py`); a cache that is renamed or reshaped silently drops
-its `cache.*` metric from the traced result."""
+its `cache.*` metric from the traced result.  The `rules-large` workload
+checks its outputs against recorded digests (`bench/workloads.py`); its
+cheapest items are replayed here, so that a change to the rules or to the
+printing shows in the tests."""
 
 import importlib.util
+import json
 import pathlib
 
 from flagcsm.csm import oracle_product
@@ -10,6 +14,7 @@ from flagcsm.perm import Permutation
 from flagcsm.symfun import schur_hook, x_range
 
 LAYERS = pathlib.Path(__file__).parent.parent / "bench" / "layers.py"
+WORKLOADS = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
 
 
 def test_cache_metrics_cover_every_cache():
@@ -25,3 +30,20 @@ def test_cache_metrics_cover_every_cache():
     assert {"cache.schub_entries", "cache.csm_entries", "cache.loc_entries",
             "cache.terms_held"} <= set(got)
     assert got["cache.loc_entries"] > 0
+
+
+def test_rules_large_reference_digests_replay():
+    # the three cheapest items of the workload, all at n = 8
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    rules_large = workloads.WORKLOADS["rules-large"]
+    with open(rules_large.REFERENCE) as fh:
+        reference = json.load(fh)
+    for u in ("12348567", "12463578", "12346587"):
+        item = (8, 5, u, (2, 1), 3)
+        text, bad = rules_large.outputs(item)
+        assert bad == []
+        assert workloads._digest(text) == reference[rules_large.key(item)]

@@ -5,6 +5,7 @@ import pytest
 
 from flagcsm.bruhat import (
     NoPathError,
+    _edges,
     count_paths,
     enumerate_paths,
     export_dot,
@@ -380,3 +381,21 @@ def test_count_paths_matches_enumerate_paths():
                 got = count_paths(u, k, shape, cover_only)
                 assert list(got) == list(want)
                 assert got == want
+
+
+def test_edges_label_window_filters_unwindowed_list_s5():
+    # a window only drops the edges whose label is outside it, keeping the
+    # order; the unpruned search above checks the windows the walk picks
+    n = 5
+    windows = [(lo, hi) for lo in range(n + 1) for hi in range(lo + 1, n + 2)]
+    for u in all_permutations(n):
+        for k in range(1, n):
+            for cover_only in (False, True):
+                every = list(_edges(u.oneline, k, cover_only))
+                for lo, hi in windows:
+                    want = [e for e in every if lo < e[2] < hi]
+                    assert list(_edges(u.oneline, k, cover_only, lo, hi)) \
+                        == want
+                    if hi == n + 1:
+                        assert list(_edges(u.oneline, k, cover_only, lo)) \
+                            == want

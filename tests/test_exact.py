@@ -11,6 +11,8 @@ from flagcsm.exact import (
     MPoly,
     PoleError,
     UPoly,
+    _coef_str,
+    at_t0,
     canonical_str,
     cyclotomic,
     divide_exact_linear,
@@ -346,3 +348,65 @@ def test_canonical_str_sorts_by_documented_key(p):
     want = pieces[0] + "".join(
         s if s.startswith("-") else "+" + s for s in pieces[1:])
     assert canonical_str(p) == want
+
+
+def _canonical_str_per_term(p):
+    """The printing as first written: a generator per monomial and a
+    signed concatenation term by term; the kept reference for
+    `canonical_str`."""
+    if not p.terms:
+        return "0"
+    names = ring((p.nvars - 2) // 2).var_names
+    order = sorted(p.terms, reverse=True)
+    order.sort(key=sum)
+    pieces = []
+    for e in order:
+        c = p.terms[e]
+        mono = "*".join(
+            names[i] + ("^%d" % d if d > 1 else "")
+            for i, d in enumerate(e) if d
+        )
+        if not mono:
+            s = _coef_str(c)
+        elif c == 1:
+            s = mono
+        elif c == -1:
+            s = "-" + mono
+        else:
+            s = _coef_str(c) + "*" + mono
+        pieces.append(s)
+    out = pieces[0]
+    for s in pieces[1:]:
+        out += s if s.startswith("-") else "+" + s
+    return out
+
+
+# exponents over all twelve slots, q and z included, with the constant
+# monomial and single powers drawn often; unit, negative, integral and
+# proper Fraction coefficients
+
+
+def _power(slot_and_degree):
+    slot, d = slot_and_degree
+    return tuple(d if i == slot else 0 for i in range(_RG5.nvars))
+
+
+_print_polys = st.dictionaries(
+    st.one_of(st.just((0,) * _RG5.nvars),
+              st.tuples(st.integers(0, _RG5.nvars - 1),
+                        st.integers(1, 3)).map(_power),
+              st.tuples(*[st.integers(0, 3)] * _RG5.nvars)),
+    st.one_of(st.sampled_from([1, -1, Fraction(4, 2), Fraction(-3, 1)]),
+              _coeffs),
+    max_size=6).map(lambda terms: MPoly(_RG5.nvars, terms))
+
+
+@given(_print_polys)
+def test_canonical_str_matches_per_term_reference(p):
+    assert canonical_str(p) == _canonical_str_per_term(p)
+
+
+@given(_print_polys)
+def test_at_t0_is_specialization_at_zero(p):
+    zero = {_RG5.t_slot(i): 0 for i in range(1, 6)}
+    assert at_t0(p) == p.specialize(zero)

@@ -1,8 +1,17 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flagcsm.bruhat import count_paths, moved_values, sigma_delta
 from flagcsm.csm import oracle_product
 from flagcsm.exact import ring
-from flagcsm.perm import Permutation, all_permutations
+from flagcsm.perm import (
+    Permutation,
+    all_permutations,
+    cycles_through,
+    grassmannian_from_partition,
+)
 from flagcsm.rules import (
     mn_csm,
     mn_schubert,
@@ -13,8 +22,23 @@ from flagcsm.rules import (
     rigidity_lift_hook,
     rigidity_lift_powersum,
 )
-from flagcsm.schubert import double_schubert, localize
-from flagcsm.symfun import power_sum, schur_hook, x_range
+from flagcsm.schubert import (
+    CohClass,
+    column_perm,
+    double_schubert,
+    localize,
+    row_perm,
+)
+from flagcsm.symfun import (
+    VarSubset,
+    complete_sym,
+    elem_sym,
+    power_sum,
+    schur_hook,
+    t_range,
+    ts,
+    x_range,
+)
 
 
 def P(s):
@@ -380,3 +404,143 @@ def test_random_s4_rule_oracle_spot_checks():
         r = rnd.choice([1, 2, 3])
         assert mn_schubert(u, k, r).coeffs == \
             oracle_product(u, power_sum(n, r, x_range(k)), "schubert").coeffs
+
+
+# the rules recomputed endpoint by endpoint from the path counts and the
+# symfun constructors, with no memo: the rules compute each coefficient
+# once per distinct (moved values, counts) key and must agree
+
+def _ref_dress(n, u, w, k, by_stats, alpha, beta):
+    sd = sigma_delta(u, w, range(1, k + 1))
+    acc = ring(n).zero
+    for (pin, pde), cnt in by_stats.items():
+        acc = acc + cnt * complete_sym(n, alpha - pin, ts(*sd.sigma)) \
+            * elem_sym(n, beta - pde, ts(*sd.delta))
+    return acc
+
+
+def _ref_pieri_hook(u, k, hook, equivariant, cover_only, basis):
+    n, (alpha, beta) = u.n, hook
+    want = CohClass(basis, equivariant)
+    if equivariant:
+        want.add(u, schur_hook(n, alpha, beta,
+                               VarSubset("t", tuple(u.oneline[:k]))))
+    for w, by_stats in count_paths(u, k, ("peakless_le", alpha, beta),
+                                   cover_only).items():
+        if w == u:
+            continue
+        if equivariant:
+            want.add(w, _ref_dress(n, u, w, k, by_stats, alpha, beta))
+        else:
+            want.add(w, ring(n).const(by_stats[alpha, beta]))
+    return want
+
+
+def _ref_schubertclass(u, k, hook):
+    n, (alpha, beta) = u.n, hook
+    want = CohClass("csm", True)
+    w_hook = grassmannian_from_partition((alpha + 1,) + (1,) * beta, k, n)
+    want.add(u, localize(double_schubert(w_hook), u))
+    for w, by_stats in count_paths(u, k, ("peakless_le", alpha, beta)).items():
+        if w == u:
+            continue
+        for a2 in range(alpha + 1):
+            for b2 in range(beta + 1):
+                want.add(w, elem_sym(n, a2, t_range(k + alpha), sign=-1)
+                         * complete_sym(n, b2, t_range(k - beta), sign=-1)
+                         * _ref_dress(n, u, w, k, by_stats, alpha - a2,
+                                      beta - b2))
+    return want
+
+
+def _ref_mn(u, k, r, equivariant, basis):
+    n = u.n
+    want = CohClass(basis, equivariant)
+    if equivariant:
+        want.add(u, power_sum(n, r, VarSubset("t", tuple(u.oneline[:k]))))
+    for cyc, eta in cycles_through(u, k, r):
+        rp, w = len(cyc) - 1, u.compose(eta)
+        if basis == "schubert" and w.length() != u.length() + rp:
+            continue
+        sign = (-1) ** eta.k_height(k)
+        if equivariant:
+            want.add(w, sign * complete_sym(n, r - rp,
+                                            ts(*moved_values(u, w))))
+        elif rp == r:
+            want.add(w, ring(n).const(sign))
+    return want
+
+
+def _ref_eh(u, k, r, kind):
+    n = u.n
+    want = CohClass("csm", True)
+    for rp in range(r + 1):
+        shape = "decreasing" if kind == "column" else "increasing"
+        for w in count_paths(u, k, (shape, rp)):
+            sd = sigma_delta(u, w, range(1, k + 1))
+            if kind == "column":
+                cls = double_schubert(column_perm(k - rp, r - rp, n))
+                head = sd.delta
+            else:
+                cls = double_schubert(row_perm(k + rp, r - rp, n))
+                head = sd.sigma
+            rest = sorted(set(range(1, n + 1)) - set(head))
+            want.add(w, localize(cls, Permutation(list(head) + rest)))
+    return want
+
+
+MEMO_CASES = [  # (u, k, hook, r) at n = 6, 7 near the identity
+    ("123456", 3, (1, 1), 3), ("213546", 3, (2, 1), 2),
+    ("132465", 2, (1, 1), 2), ("124356", 4, (1, 2), 3),
+    ("1234567", 3, (2, 1), 3), ("1324657", 4, (1, 1), 2),
+]
+
+
+def test_rules_match_per_endpoint_reference_near_identity():
+    for text, k, hook, r in MEMO_CASES:
+        u = P(text)
+        for eq in (True, False):
+            assert pieri_hook_csm(u, k, hook, eq) == \
+                _ref_pieri_hook(u, k, hook, eq, False, "csm")
+            assert pieri_hook_schubert(u, k, hook, eq) == \
+                _ref_pieri_hook(u, k, hook, eq, True, "schubert")
+            assert mn_csm(u, k, r, eq) == _ref_mn(u, k, r, eq, "csm")
+            assert mn_schubert(u, k, r, eq) == \
+                _ref_mn(u, k, r, eq, "schubert")
+        assert pieri_schubertclass_csm(u, k, hook) == \
+            _ref_schubertclass(u, k, hook)
+        for rr in range(1, r + 1):
+            if rr <= k:
+                assert pieri_eh_localized(u, k, rr, "column") == \
+                    _ref_eh(u, k, rr, "column")
+            if k + rr <= u.n:
+                assert pieri_eh_localized(u, k, rr, "row") == \
+                    _ref_eh(u, k, rr, "row")
+
+
+# the rules against the oracle on random (u, k, hook, r) at n <= 5; the
+# oracle builds its localization tables on demand, and the CSM table of a
+# short u at n = 5 takes about a second, so the example count is bounded
+
+_rule_cases = st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.sampled_from(all_permutations(n)), st.integers(1, n - 1),
+    st.sampled_from(HOOKS_2), st.integers(1, 3)))
+
+
+@settings(max_examples=40)
+@given(_rule_cases)
+def test_rules_match_oracle_random(case):
+    u, k, hook, r = case
+    n = u.n
+    g = schur_hook(n, hook[0], hook[1], x_range(k))
+    assert pieri_hook_csm(u, k, hook) == oracle_product(u, g, "csm")
+    assert pieri_hook_schubert(u, k, hook) == \
+        oracle_product(u, g, "schubert")
+    p = power_sum(n, r, x_range(k))
+    assert mn_csm(u, k, r) == oracle_product(u, p, "csm")
+    assert mn_schubert(u, k, r) == oracle_product(u, p, "schubert")
+    if hook[1] + 1 <= k and hook[0] + 1 <= n - k:
+        w_hook = grassmannian_from_partition(
+            (hook[0] + 1,) + (1,) * hook[1], k, n)
+        assert pieri_schubertclass_csm(u, k, hook) == \
+            oracle_product(u, double_schubert(w_hook), "csm")
