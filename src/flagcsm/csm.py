@@ -85,7 +85,7 @@ def expand_in_csm(f, n, equivariant=True):
     ideal.
 
     Equivariantly: fixed-point interpolation of the localizations of f in
-    the CSM basis.  Nonequivariantly f must be free of t, q and z (else
+    the CSM basis.  Nonequivariantly f must be free of t (else
     ValueError): walks a spanning tree of left multiplications in weak
     order, so each permutation costs one operator application; the
     coefficient at w is the constant term of T_w(f)."""

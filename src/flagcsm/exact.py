@@ -35,9 +35,9 @@ class MPoly:
 
     Variables live in a fixed universe of ``nvars`` slots; an exponent
     vector is an int tuple of that length.  For the rings used in this
-    package the slots are x1..xn, t1..tn, q, z in that order (see
-    `PolyRing`).  Instances are immutable by convention: every operation
-    returns a new polynomial.  No zero coefficients are stored.
+    package the slots are x1..xn, t1..tn in that order (see `PolyRing`).
+    Instances are immutable by convention: every operation returns a new
+    polynomial.  No zero coefficients are stored.
     """
 
     __slots__ = ("nvars", "terms")
@@ -348,11 +348,12 @@ def divide_exact_linear(p, form):
 
 
 # ---------------------------------------------------------------------------
-# the shared variable universe: x1..xn, t1..tn, q, z
+# the shared variable universe: x1..xn, t1..tn
 
 
 class PolyRing:
-    """Polynomial ring Q[x1..xn, t1..tn, q, z] with a fixed n.
+    """Polynomial ring Q[x1..xn, t1..tn] with a fixed n: 2n slots, the
+    x-variables first.
 
     All modules share one ring per n via `ring(n)`, so polynomials from
     different modules combine freely.
@@ -360,9 +361,9 @@ class PolyRing:
 
     def __init__(self, n):
         self.n = n
-        self.nvars = 2 * n + 2
-        names = ["%s%d" % (v, i) for v in "xt" for i in range(1, n + 1)]
-        self.var_names = tuple(names + ["q", "z"])
+        self.nvars = 2 * n
+        self.var_names = tuple("%s%d" % (v, i)
+                               for v in "xt" for i in range(1, n + 1))
 
     def x_slot(self, i):
         if not 1 <= i <= self.n:
@@ -374,27 +375,11 @@ class PolyRing:
             raise ValueError("t index out of range: %d" % i)
         return self.n + i - 1
 
-    @property
-    def q_slot(self):
-        return 2 * self.n
-
-    @property
-    def z_slot(self):
-        return 2 * self.n + 1
-
     def x(self, i):
         return MPoly.variable(self.nvars, self.x_slot(i))
 
     def t(self, i):
         return MPoly.variable(self.nvars, self.t_slot(i))
-
-    @property
-    def q(self):
-        return MPoly.variable(self.nvars, self.q_slot)
-
-    @property
-    def z(self):
-        return MPoly.variable(self.nvars, self.z_slot)
 
     def const(self, c):
         return MPoly.const(self.nvars, c)
@@ -420,12 +405,12 @@ def _coef_str(c):
 
 
 def canonical_str(p):
-    """Canonical printing: graded order, ties broken x1<..<xn<t1<..<tn<q<z
+    """Canonical printing: graded order, ties broken x1<..<xn<t1<..<tn
     (terms sorted by the key (sum(e), tuple(-d for d in e))); monomials
     like ``c*x1^2*t3`` with ^1 omitted and unit coefficients elided."""
     if not p.terms:
         return "0"
-    names = ring((p.nvars - 2) // 2).var_names
+    names = ring(p.nvars // 2).var_names
     # that key as two stable sorts: vectors descending, then degree ascending
     order = sorted(p.terms, reverse=True)
     order.sort(key=sum)
@@ -449,9 +434,9 @@ def canonical_str(p):
 
 def at_t0(p):
     """p at t1 = .. = tn = 0: the terms of p with no t exponent."""
-    n = (p.nvars - 2) // 2
+    n = p.nvars // 2
     p0 = MPoly(p.nvars)
-    p0.terms = {e: c for e, c in p.terms.items() if not any(e[n:2 * n])}
+    p0.terms = {e: c for e, c in p.terms.items() if not any(e[n:])}
     return p0
 
 

@@ -80,11 +80,11 @@ def localize(f, w):
     for e, c in f.terms.items():
         head = e[:n]
         if any(head):
-            tail = list(e[n:2 * n])
+            tail = list(e[n:])
             for i, d in enumerate(head):
                 if d:
                     tail[perm[i] - 1] += d
-            key = zeros + tuple(tail) + e[2 * n:]
+            key = zeros + tuple(tail)
         else:
             key = e
         v = get(key, 0) + c

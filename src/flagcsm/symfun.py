@@ -1,6 +1,4 @@
-"""Symmetric-polynomial constructors on arbitrary variable subsets, plus
-the truncated generating series Q, 1/Z, and E used by the rigidity
-machinery.
+"""Symmetric-polynomial constructors on arbitrary variable subsets.
 
 All constructors return `MPoly` values in the shared ring for the
 session's n; a subset of variables is a `VarSubset` naming x- or
@@ -173,53 +171,3 @@ def schur_general(n, lam, vs):
         key = tuple(e)
         out.terms[key] = out.terms.get(key, 0) + 1
     return out
-
-
-@dataclass(frozen=True)
-class SeriesPoly:
-    """A polynomial truncated in combined (q, z)-degree."""
-
-    poly: MPoly
-    trunc: int
-
-
-def _truncate_qz(p, n, trunc):
-    rg = ring(n)
-    qs, zs = rg.q_slot, rg.z_slot
-    out = MPoly(rg.nvars)
-    out.terms = {e: c for e, c in p.terms.items() if e[qs] + e[zs] <= trunc}
-    return out
-
-
-def qz_series(n, kind, vs, trunc):
-    """Truncated series in q and z over the subset:
-
-    - Q     = prod (1 + q v_a)                      (a polynomial already)
-    - Z_inv = sum_r z^r h_r, cut at degree `trunc`
-    - E     = sum_{a,b} z^a q^b s_{(1+a,1^b)}, cut at combined degree
-    """
-    rg = ring(n)
-    if kind == "Q":
-        out = rg.one
-        slots = vs.slots(rg)
-        for s in slots:
-            out = out * (rg.one + rg.q * MPoly.variable(rg.nvars, s))
-        return SeriesPoly(_truncate_qz(out, n, trunc), trunc)
-    if kind == "Z_inv":
-        out = rg.zero
-        for r in range(trunc + 1):
-            out = out + rg.z ** r * complete_sym(n, r, vs)
-        return SeriesPoly(out, trunc)
-    if kind == "E":
-        out = rg.zero
-        for a in range(trunc + 1):
-            for b in range(trunc + 1 - a):
-                out = out + rg.z ** a * rg.q ** b * schur_hook(n, a, b, vs)
-        return SeriesPoly(out, trunc)
-    raise ValueError("unknown series kind: %r" % (kind,))
-
-
-def series_mul(a, b, n):
-    """Product of truncated series, truncated at the smaller bound."""
-    trunc = min(a.trunc, b.trunc)
-    return SeriesPoly(_truncate_qz(a.poly * b.poly, n, trunc), trunc)

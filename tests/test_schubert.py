@@ -1,6 +1,9 @@
 import random
 
-from flagcsm.exact import ring
+from hypothesis import given
+from hypothesis import strategies as st
+
+from flagcsm.exact import MPoly, ring
 from flagcsm.perm import Permutation, all_permutations, grassmannian_from_partition
 from flagcsm.schubert import (
     column_perm,
@@ -88,6 +91,26 @@ def test_localize_examples():
     rg = ring(2)
     assert localize(rg.x(1), P("21")) == rg.t(2)
     assert localize(double_schubert(P("21")), P("21")) == rg.t(2) - rg.t(1)
+
+
+def _polys_on(n):
+    nvars = ring(n).nvars
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                           st.integers(-5, 5).filter(bool), max_size=6).map(
+        lambda terms: MPoly(nvars, terms))
+
+
+@given(st.sampled_from([3, 4]).flatmap(_polys_on))
+def test_localize_is_substitution(f):
+    # every w in S_n: the exponent surgery equals x_i -> t_{w(i)} as a
+    # ring homomorphism, and leaves no x exponent behind
+    n = f.nvars // 2
+    rg = ring(n)
+    for w in all_permutations(n):
+        got = localize(f, w)
+        assert got == f.substitute({rg.x_slot(i): rg.t(w(i))
+                                    for i in range(1, n + 1)})
+        assert not any(any(e[:n]) for e in got.terms)
 
 
 def test_localization_vanishing_s3():
