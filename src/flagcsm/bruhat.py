@@ -333,16 +333,3 @@ def export_dot(n, k, cover_only=False):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def paths_to_json(grouped):
-    """JSON-ready dump of an endpoint-grouped path family."""
-    out = []
-    for end, paths in grouped.items():
-        for p in paths:
-            out.append({
-                "end": str(end),
-                "vertices": [str(p.edges[0].source)] + [str(e.target) for e in p.edges]
-                if p.edges else [str(end)],
-                "labels": list(p.labels),
-            })
-    return out

@@ -3,10 +3,12 @@ cells, expansion of classes in the CSM basis, and the brute-force product
 oracle used to verify every closed-form rule.
 
 A CSM class is represented by a polynomial obtained from the point class
-(the top double Schubert polynomial) by a chain of Demazure-Lusztig
-operators.  Representatives are only well defined modulo the symmetric
-ideal, so nothing here ever asserts equality of raw representatives:
-all comparisons go through basis coefficients.
+(the top double Schubert polynomial) by Demazure-Lusztig operators, one
+per step down the weak order, in the recursion that `schubert` also
+uses for double Schubert polynomials and localization tables.
+Representatives are only well defined modulo the symmetric ideal, so
+nothing here ever asserts equality of raw representatives: all
+comparisons go through basis coefficients.
 
 The equivariant oracle never multiplies representatives.  It reads the
 localizations basis(u)|_w from `schubert.localization_table`, forms the
@@ -23,6 +25,7 @@ from .perm import Permutation, all_permutations
 from .schubert import (
     _LOC_TABLE,
     _SCHUB_CACHE,
+    _lower,
     CohClass,
     double_schubert,
     interpolate,
@@ -41,30 +44,16 @@ def dl_operator(f, i, n):
 _CSM_CACHE = {}
 
 
+def _csm_leaf(w):
+    return double_schubert(w) if w == Permutation.longest(w.n) else None
+
+
 def csm_class(w):
     """Polynomial representative of the equivariant CSM class of the
-    Schubert cell of w: transport the point class along Demazure-Lusztig
-    operators for any word of w^-1 w0.  Cached per n."""
-    n = w.n
-    cache = _CSM_CACHE.setdefault(n, {})
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    w0 = Permutation.longest(n)
-    cur = cache.get(w0)
-    if cur is None:
-        cur = double_schubert(w0)
-        cache[w0] = cur
-    word = w.inverse().compose(w0).reduced_word()
-    # T_u f applies the last letter first; track the cell as we go
-    node = w0
-    for i in reversed(word):
-        cur = dl_operator(cur, i, n)
-        node = node.compose(Permutation.transposition(i, i + 1, n))
-        cache.setdefault(node, cur)
-    if node != w:
-        raise AssertionError("operator chain ended at %s, wanted %s" % (node, w))
-    return cur
+    Schubert cell of w: csm(w) = T_i csm(w s_i) at the first ascent i of
+    w, from the point class (the top double Schubert polynomial) at w0.
+    Cached per n."""
+    return _lower(_CSM_CACHE.setdefault(w.n, {}), w, _csm_leaf, dl_operator)
 
 
 def csm_class_nonequivariant(w):

@@ -11,6 +11,8 @@ coefficient is the multiplier evaluated at t_{u(1)},..,t_{u(k)}.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .bruhat import count_paths, moved_values, sigma_delta
 from .exact import ring
 from .perm import Permutation, cycles_through, grassmannian_from_partition
@@ -228,23 +230,24 @@ def _mn(u, k, r, equivariant, basis):
 # rigidity: equivariant coefficients from nonequivariant counts
 
 
-def _nonequivariant_hook_counts(u, A, k, alpha, beta):
-    """Path-count route for A = [k]; oracle route for a general subset."""
-    if k is not None and A == tuple(range(1, k + 1)):
-        return _peakless_counts(u, k, alpha, beta, False)
+def _nonequivariant_constants(u, k, A, params, rule, multiplier):
+    """{w: {p: c}} over w != u, where c is the nonequivariant coefficient
+    of csm(w) in csm(u) times multiplier(p), for each p in params.  For
+    A = [k] it is read from the nonequivariant rule(u, k, p); for a
+    general subset A, from the oracle."""
     from .csm import oracle_product
 
-    n = u.n
-    counts = {}
-    for a2 in range(alpha + 1):
-        for b2 in range(beta + 1):
-            g = schur_hook(n, a2, b2, VarSubset("x", A))
-            got = oracle_product(u, g, "csm", equivariant=False)
-            for w, c in got.coeffs.items():
-                if w == u:
-                    continue
-                counts.setdefault(w, {})[(a2, b2)] = int(c.constant_value())
-    return counts
+    on_k = k is not None and A == tuple(range(1, k + 1))
+    out = {}
+    for p in params:
+        if on_k:
+            got = rule(u, k, p, False)
+        else:
+            got = oracle_product(u, multiplier(p), "csm", equivariant=False)
+        for w, c in got.coeffs.items():
+            if w != u:
+                out.setdefault(w, {})[p] = int(c.constant_value())
+    return out
 
 
 def _lift_subset(k, A):
@@ -267,7 +270,10 @@ def rigidity_lift_hook(u, hook, k=None, A=None):
     out = CohClass("csm", True)
     out.add(u, schur_hook(n, alpha, beta,
                           VarSubset("t", tuple(u(i) for i in A))))
-    _add_per_key(out, u, A, _nonequivariant_hook_counts(u, A, k, alpha, beta),
+    counts = _nonequivariant_constants(
+        u, k, A, product(range(alpha + 1), range(beta + 1)), pieri_hook_csm,
+        lambda hook2: schur_hook(n, *hook2, VarSubset("x", A)))
+    _add_per_key(out, u, A, counts,
                  lambda sd, by_shape: _dress(n, sd, by_shape, alpha, beta))
     return out
 
@@ -282,22 +288,9 @@ def rigidity_lift_powersum(u, r, k=None, A=None):
     out = CohClass("csm", True)
     out.add(u, power_sum(n, r, VarSubset("t", tuple(u(i) for i in A))))
 
-    base = {}
-    if k is not None and A == tuple(range(1, k + 1)):
-        for cyc, eta in cycles_through(u, k, r):
-            rp = len(cyc) - 1
-            sign = -1 if eta.k_height(k) % 2 else 1
-            base.setdefault(u.compose(eta), {})[rp] = sign
-    else:
-        from .csm import oracle_product
-
-        for rp in range(1, r + 1):
-            got = oracle_product(u, power_sum(n, rp, VarSubset("x", A)), "csm",
-                                 equivariant=False)
-            for w, c in got.coeffs.items():
-                if w != u:
-                    base.setdefault(w, {})[rp] = int(c.constant_value())
-
+    base = _nonequivariant_constants(
+        u, k, A, range(1, r + 1), mn_csm,
+        lambda rp: power_sum(n, rp, VarSubset("x", A)))
     for w, by_len in base.items():
         moved = moved_values(u, w)
         acc = rg.zero

@@ -2,17 +2,19 @@
 localization, and expansion of equivariant classes by fixed-point
 interpolation.
 
+Every class is built by one memoized recursion down the weak order
+(`_lower`): class(w) = D_i class(w s_i) at an ascent i of w, from the
+point class at w0.  D_i is d_i for `double_schubert`, T_i for
+`csm.csm_class`, and the localized d_i or T_i for `localization_table`,
+which works on localization vectors and builds no representative.
+
 A class is determined by its localizations at the torus-fixed points
-(the permutations).  `localization_table` computes them for the Schubert
-and CSM bases by one recursion on localization vectors: from the point
-class at w0, the localized d_i (Schubert) or T_i = -s_i + d_i (CSM)
-lowers w one ascent at a time, and no polynomial representative is
-built.  `interpolate` recovers the coefficients of a class in either
-basis, each of whose elements v localizes to zero at every w not above v
-in Bruhat order: processing the points along a linear extension of
-Bruhat order, each coefficient is the residual localization divided
-(exactly) by the basis element's diagonal value, a product of linear
-forms (`diagonal_factors`).
+(the permutations).  `interpolate` recovers the coefficients of a class
+in either basis, each of whose elements v localizes to zero at every w
+not above v in Bruhat order: processing the points along a linear
+extension of Bruhat order, each coefficient is the residual localization
+divided (exactly) by the basis element's diagonal value, a product of
+linear forms (`diagonal_factors`).
 """
 
 from __future__ import annotations
@@ -97,6 +99,24 @@ def localize(f, w):
     return r
 
 
+def _lower(memo, w, leaf, step):
+    """The value at w of a family built down the weak order: the value
+    memoized at w if there is one, else leaf(w) unless that is None (a
+    base case), else step(value at w s_i, i, n) at the first ascent i of
+    w (w(i) < w(i+1)).  Every value reached is memoized, so building all
+    of S_n from the top takes n! - 1 steps."""
+    val = memo.get(w)
+    if val is None:
+        val = leaf(w)
+        if val is None:
+            n = w.n
+            i = next(i for i in range(1, n) if w(i) < w(i + 1))
+            s = Permutation.transposition(i, i + 1, n)
+            val = step(_lower(memo, w.compose(s), leaf, step), i, n)
+        memo[w] = val
+    return val
+
+
 _SCHUB_CACHE = {}
 
 
@@ -114,8 +134,10 @@ def _grassmannian_tableau_schubert(w, k):
     descent at k, as the factorial Schur sum over semistandard tableaux:
     each box (i, j) filled with v contributes (x_v - t_{v+j-i}).
 
-    Equivalent to the divided-difference chain but independent of n!, so
-    usable for the large-n localizations in the rim hook machinery."""
+    Equivalent to the divided-difference recursion but independent of n!,
+    so `double_schubert` uses it from n = 6 on, where the closed-form
+    rules and the rim-hook benchmark ask for Grassmannian classes of
+    large symmetric groups."""
     from .symfun import _ssyt
 
     n = w.n
@@ -131,42 +153,27 @@ def _grassmannian_tableau_schubert(w, k):
     return out
 
 
-def double_schubert(w):
-    """The double Schubert polynomial of w, from the longest element by
-    divided differences along a reduced word; cached per n.
-
-    Grassmannian permutations in large symmetric groups bypass the chain
-    through the (huge) top polynomial via the tableau formula."""
-    n = w.n
-    cache = _SCHUB_CACHE.setdefault(n, {})
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    if n >= 6:
+def _schubert_leaf(w):
+    if w == Permutation.longest(w.n):
+        return _longest_schubert(w.n)
+    if w.n >= 6:
         desc = w.descents()
         if not desc:
-            val = ring(n).one
-            cache[w] = val
-            return val
+            return ring(w.n).one
         if len(desc) == 1:
-            val = _grassmannian_tableau_schubert(w, desc[0])
-            cache[w] = val
-            return val
-    w0 = Permutation.longest(n)
-    cur = cache.get(w0)
-    if cur is None:
-        cur = _longest_schubert(n)
-        cache[w0] = cur
-    v = w0.compose(w)  # w = w0 . v, length-complementary
-    node = w0
-    for i in v.reduced_word():
-        node = node.compose(Permutation.transposition(i, i + 1, n))
-        nxt = cache.get(node)
-        if nxt is None:
-            nxt = demazure_i(cur, i, n)
-            cache[node] = nxt
-        cur = nxt
-    return cur
+            return _grassmannian_tableau_schubert(w, desc[0])
+    return None
+
+
+def double_schubert(w):
+    """The double Schubert polynomial of w: S_w = d_i S_{w s_i} at the
+    first ascent i of w, from the top polynomial at w0; cached per n.
+
+    From n = 6 on, a permutation with at most one descent is a base case
+    too (the tableau formula), so Grassmannian classes of large symmetric
+    groups never pass through the (huge) top polynomial."""
+    return _lower(_SCHUB_CACHE.setdefault(w.n, {}), w, _schubert_leaf,
+                  demazure_i)
 
 
 def diagonal_factors(basis, w):
@@ -189,30 +196,31 @@ _LOC_TABLE = {}
 
 def localization_table(basis, w):
     """The localizations {u: basis(w)|_u} over the support u >= w, zero
-    values left out; cached per n, keyed by (basis, w).
+    values left out; cached per (n, basis).
 
     At w0 both classes are the point class, whose one localization is the
-    product of its diagonal factors.  Otherwise take an ascent i of w
-    (w(i) < w(i+1)), so basis(w) = D_i basis(w s_i) with D_i = d_i for
-    Schubert classes and T_i = -s_i + d_i for CSM classes, and localize
-    D_i: with a = basis(w s_i)|_u and b = basis(w s_i)|_{u s_i},
+    product of its diagonal factors.  Otherwise, at the first ascent i of
+    w, basis(w) = D_i basis(w s_i) with D_i = d_i for Schubert classes and
+    T_i = -s_i + d_i for CSM classes, and D_i is localized: with
+    a = basis(w s_i)|_u and b = basis(w s_i)|_{u s_i},
 
         basis(w)|_u = (a - b) / (t_{u(i)} - t_{u(i+1)}) [- b for T_i].
 
     The quotient is the same at u and u s_i, so it is computed once per
     pair; each division must be exact."""
-    n = w.n
-    table = _LOC_TABLE.setdefault(n, {})
-    hit = table.get((basis, w))
+    table = _LOC_TABLE.setdefault((w.n, basis), {})
+    hit = table.get(w)
     if hit is not None:
         return hit
-    rg = ring(n)
-    i = next((i for i in range(1, n) if w(i) < w(i + 1)), None)
-    if i is None:
-        vec = {w: prod(diagonal_factors(basis, w), start=rg.one)}
-    else:
+    rg = ring(w.n)
+
+    def leaf(v):
+        if v == Permutation.longest(v.n):
+            return {v: prod(diagonal_factors(basis, v), start=rg.one)}
+        return None
+
+    def step(prev, i, n):
         s = Permutation.transposition(i, i + 1, n)
-        prev = localization_table(basis, w.compose(s))
         zero = rg.zero
         vec = {}
         pairs = dict.fromkeys(u if u(i) < u(i + 1) else u.compose(s)
@@ -228,8 +236,9 @@ def localization_table(basis, w):
             for point, val in vals:
                 if not val.is_zero():
                     vec[point] = val
-    table[(basis, w)] = vec
-    return vec
+        return vec
+
+    return _lower(table, w, leaf, step)
 
 
 def interpolate(basis, values):

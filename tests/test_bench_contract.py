@@ -1,10 +1,15 @@
 """The traced benchmark run reads the module caches by name
 (`bench/layers.py`); a cache that is renamed or reshaped silently drops
-its `cache.*` metric from the traced result.  The `rules-large` workload
-checks its outputs against recorded digests (`bench/workloads.py`); its
-cheapest items are replayed here, so that a change to the rules or to the
-printing shows in the tests."""
+its `cache.*` metric from the traced result.  The workloads import
+flagcsm names inside their set-up and run methods
+(`bench/workloads.py`), so a deleted or renamed one fails only when the
+benchmark runs; every such import is resolved here.  The `rules-large`
+workload checks its outputs against recorded digests; its cheapest items
+are replayed here, so that a change to the rules or to the printing
+shows in the tests."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import pathlib
@@ -30,6 +35,19 @@ def test_cache_metrics_cover_every_cache():
     assert {"cache.schub_entries", "cache.csm_entries", "cache.loc_entries",
             "cache.terms_held"} <= set(got)
     assert got["cache.loc_entries"] > 0
+
+
+def test_workload_imports_resolve():
+    imported = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("flagcsm"):
+            imported.update((node.module, a.name) for a in node.names)
+    assert {("flagcsm.csm", "csm_class"), ("flagcsm.csm", "oracle_product"),
+            ("flagcsm.schubert", "double_schubert")} <= imported
+    missing = [(module, name) for module, name in sorted(imported)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_rules_large_reference_digests_replay():

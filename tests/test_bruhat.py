@@ -290,18 +290,6 @@ def test_export_dot_edge_count_s4():
     assert dot.count("->") == count
 
 
-def test_paths_to_json():
-    from flagcsm.bruhat import paths_to_json
-
-    grouped = enumerate_paths(P("2143"), 2, ("decreasing", 1))
-    dump = paths_to_json(grouped)
-    assert dump
-    for rec in dump:
-        assert set(rec) == {"end", "vertices", "labels"}
-        assert rec["vertices"][-1] == rec["end"]
-        assert len(rec["labels"]) == len(rec["vertices"]) - 1
-
-
 def _all_labeled_paths(u, k, cover_only):
     """Every k-Bruhat path from u, unpruned, as (endpoint, labels) in DFS
     pre-order with edges tried in `k_edges_from` order."""

@@ -211,6 +211,23 @@ def test_graph_refuses_n9_up_front(monkeypatch, capsys):
     assert "362880 vertices" in capsys.readouterr().err
 
 
+def test_mn_refuses_many_cycles_up_front(monkeypatch, capsys):
+    # the refusal must come before any cycle is listed: S_14 has
+    # 1,782,868,113 cycles of length 2..11, S_12 has 703,604 of length 2..7
+    def no_listing(*args):
+        raise AssertionError("listed cycles before refusing")
+
+    monkeypatch.setattr("flagcsm.rules.cycles_through", no_listing)
+    code, got = run(["mn", "--n", "14", "--k", "7",
+                     "--u", ",".join(map(str, range(1, 15))), "--r", "10"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "would test 1782868113" in capsys.readouterr().err
+    monkeypatch.setattr("flagcsm.rules.cycles_through", lambda *args: [])
+    code, got = run(["mn", "--n", "12", "--k", "6",
+                     "--u", ",".join(map(str, range(1, 13))), "--r", "6"])
+    assert code == 0 and got.startswith("# mn n=12")
+
+
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])

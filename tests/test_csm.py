@@ -266,6 +266,38 @@ def test_clear_caches():
         assert oracle_product(u, g, b) == coh
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_every_class_is_one_step_from_its_parent(n, monkeypatch):
+    # from empty caches, building every class of S_n lowers each w != w0
+    # once, from w s_i: n! - 1 operator steps per family, and every memo
+    # table ends with one entry per permutation
+    steps = {"demazure_i": 0, "dl_operator": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            steps[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(schubert, "demazure_i")
+    count(csm, "dl_operator")
+    clear_caches()
+    perms = all_permutations(n)
+    for w in perms:
+        double_schubert(w)
+        csm_class(w)
+        for basis in ("schubert", "csm"):
+            localization_table(basis, w)
+    assert steps == {"demazure_i": len(perms) - 1,
+                     "dl_operator": len(perms) - 1}
+    tables = [schubert._SCHUB_CACHE[n], csm._CSM_CACHE[n]] + \
+        [schubert._LOC_TABLE[n, basis] for basis in ("schubert", "csm")]
+    assert [len(t) for t in tables] == [len(perms)] * 4
+
+
 def test_equivariant_oracle_and_scan_read_only_tables(monkeypatch):
     # the equivariant oracle in both bases and the schubert-expansion scan
     # answer from the localization tables alone: no polynomial
