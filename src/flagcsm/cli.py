@@ -17,9 +17,10 @@ import argparse
 import json
 import math
 import sys
+from itertools import combinations
 
 from .exact import canonical_str
-from .perm import Permutation
+from .perm import Permutation, beads_to_partition
 
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
@@ -137,24 +138,13 @@ def cmd_graph(args, out):
 def _partition_graph_dot(k, n):
     from .grassmann import partition_str, rim_hook_additions
 
-    def shapes():
-        out = [()]
-
-        def rec(prefix, row, cap):
-            if row == k:
-                return
-            for p in range(cap, 0, -1):
-                out.append(tuple(prefix) + (p,))
-                rec(prefix + [p], row + 1, p)
-
-        rec([], 0, n - k)
-        return sorted(set(out))
-
+    shapes = sorted(beads_to_partition(first[::-1])
+                    for first in combinations(range(1, n + 1), k))
     lines = ["digraph partition_kbruhat {"]
     lines.append('  label="partitions in %dx%d";' % (k, n - k))
-    for lam in shapes():
+    for lam in shapes:
         lines.append('  "%s";' % partition_str(lam, k))
-    for lam in shapes():
+    for lam in shapes:
         for rh in rim_hook_additions(lam, k, n):
             style = "" if rh.size == 1 else ", style=dashed"
             lines.append('  "%s" -> "%s" [label="%d"%s];'

@@ -79,17 +79,6 @@ class MPoly:
             raise ValueError("not a constant polynomial")
         return c
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def involved_vars(self):
-        out = set()
-        for e in self.terms:
-            for i, d in enumerate(e):
-                if d:
-                    out.add(i)
-        return out
-
     # -- arithmetic
 
     def _check(self, other):
@@ -275,75 +264,47 @@ def divided_difference(f, i, j, swap=0):
 
 
 def divide_exact_linear(p, form):
-    """Exact division of p by an affine-linear form in at most two variables.
+    """Exact division of p by a form c + v_i - v_j (i != j), by Horner in
+    v_i: with p = sum_d P_d v_i^d and quotient q = sum_d Q_d v_i^d, the
+    layers are Q_{d-1} = P_d - (c - v_j) Q_d from the top degree down,
+    and P_0 = (c - v_j) Q_0 leaves no remainder.
 
-    `form` must look like c0 + c1*v1 [+ c2*v2].  Raises ExactnessError if
-    the division leaves a remainder.
+    Raises ValueError on any other form and ExactnessError if the
+    division leaves a remainder.
     """
-    if form.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    vars_in = sorted(form.involved_vars())
-    if len(vars_in) > 2 or form.total_degree() > 1:
-        raise ValueError("form must be affine-linear in at most two variables")
-    if not vars_in:
-        c = form.constant_value()
-        return p if c == 1 else p * Fraction(1, c)
-    pivot = vars_in[0]
-    zero_e = (0,) * form.nvars
-    c1 = 0
-    g_terms = {}
-    for e, c in form.terms.items():
-        if e[pivot] == 1:
-            c1 = c
+    c, i, j = 0, None, None
+    for e, a in form.terms.items():
+        if not any(e):
+            c = a
+        elif sum(e) == 1 and a == 1 and i is None:
+            i = e.index(1)
+        elif sum(e) == 1 and a == -1 and j is None:
+            j = e.index(1)
         else:
-            g_terms[e] = c
-    if c1 == 0:
-        pivot = vars_in[1]
-        for e, c in list(g_terms.items()):
-            if e[pivot] == 1:
-                c1 = c
-                del g_terms[e]
-    g = MPoly(form.nvars, g_terms)
-
-    # bucket p by pivot exponent, keys normalized with pivot slot zeroed
-    buckets = {}
-    for e, c in p.terms.items():
-        d = e[pivot]
-        f = list(e)
-        f[pivot] = 0
-        buckets.setdefault(d, {})[tuple(f)] = c
-    if not buckets:
-        return MPoly(p.nvars)
-    top = max(buckets)
+            i = j = None
+            break
+    if i is None or j is None:
+        raise ValueError("form must be c + v_i - v_j: %s" % canonical_str(form))
+    layers = {}
+    for e, a in p.terms.items():
+        layers.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = a
     quot = {}
-    for d in range(top, 0, -1):
-        layer = buckets.pop(d, None)
-        if not layer:
-            continue
-        qd = {}
-        for e, c in layer.items():
-            qc = c if c1 == 1 else (-c if c1 == -1 else Fraction(c, 1) / c1)
-            qd[e] = qc
-            f = list(e)
-            f[pivot] = d - 1
-            quot[tuple(f)] = qc
-        if not g.is_zero():
-            below = buckets.setdefault(d - 1, {})
-            for e, qc in qd.items():
-                for eg, cg in g.terms.items():
-                    key = tuple(a + b for a, b in zip(e, eg))
-                    s = below.get(key, 0) - qc * cg
-                    if s:
-                        below[key] = s
-                    elif key in below:
-                        del below[key]
-            if not below:
-                del buckets[d - 1]
-    rem = buckets.get(0)
-    if rem and any(c != 0 for c in rem.values()):
+    prev = {}
+    for d in range(max(layers, default=0), -1, -1):
+        cur = layers.get(d, {})
+        for e, a in prev.items():
+            if c:
+                cur[e] = cur.get(e, 0) - c * a
+            up = e[:j] + (e[j] + 1,) + e[j + 1:]
+            cur[up] = cur.get(up, 0) + a
+        prev = {e: a for e, a in cur.items() if a}
+        if d and prev:
+            for e, a in prev.items():
+                quot[e[:i] + (d - 1,) + e[i + 1:]] = a
+    if prev:
         raise ExactnessError("non-exact division by %s" % canonical_str(form))
     q = MPoly(p.nvars)
-    q.terms = {e: c for e, c in quot.items() if c != 0}
+    q.terms = quot
     return q
 
 

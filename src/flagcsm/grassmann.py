@@ -6,7 +6,9 @@ Partitions are tuples of positive parts (no trailing zeros); rows and
 columns are 1-based, row 1 on top.  The boundary labeling walks the
 southeast lattice path of a partition from bottom left to top right,
 numbering the n unit steps 1..n; rows read bottom-to-top give the first
-k values of the Grassmannian permutation, columns the rest.
+k values of the Grassmannian permutation, columns the rest.  The row
+labels are the beads of lam's beta-set (`perm.partition_to_beads`), and
+adding or removing a rim hook of size r moves one bead by r.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ring
-from .perm import Permutation, coset_decompose, grassmannian_from_partition
+from .perm import (
+    Permutation,
+    beads_to_partition,
+    coset_decompose,
+    grassmannian_from_partition,
+    partition_to_beads,
+)
 
 from .symfun import VarSubset, complete_sym, power_sum
 
@@ -109,81 +117,48 @@ def rim_hook_additions(lam, k, n, size_range=None):
     """All rim hooks addable to lam inside the k x (n-k) rectangle, with
     tail, height, boundary label set, and edge label tau = min L.
 
-    A rim hook spanning rows r1..r2 is determined by its head column in
-    row r1; every lower row is forced to end one column right of the row
-    above it in the inner shape."""
+    Each is one bead b of lam's k-row beta-set moved up to a free
+    position c <= n: the hook has size c - b, its bottom row is b's row
+    i, it climbs one row per bead jumped, and its labels are b..c."""
     lam = normalize_partition(lam)
     if not fits_in_rectangle(lam, k, n):
         raise ValueError("%r does not fit in %dx%d" % (lam, k, n - k))
-    full = list(lam) + [0] * (k - len(lam))
+    beads = partition_to_beads(lam, k)
     lo, hi = size_range if size_range else (1, k * (n - k))
     out = []
-    for r1 in range(1, k + 1):
-        cap = n - k if r1 == 1 else full[r1 - 2]
-        for h in range(full[r1 - 1] + 1, cap + 1):
-            mu = list(full)
-            mu[r1 - 1] = h
-            size = h - full[r1 - 1]
-            for r2 in range(r1, k + 1):
-                if r2 > r1:
-                    want = full[r2 - 2] + 1
-                    if want <= full[r2 - 1]:
-                        break
-                    mu[r2 - 1] = want
-                    size += want - full[r2 - 1]
-                if lo <= size <= hi:
-                    outer = normalize_partition(mu)
-                    labels = _hook_labels(outer, full[r2 - 1] + 1, size, k, n)
-                    out.append(RimHook(
-                        inner=lam, outer=outer, size=size,
-                        height=r2 - r1, tail=(r2, full[r2 - 1] + 1),
-                        labels=labels, tau=min(labels)))
+    for i, b in enumerate(beads):
+        h = 0
+        for c in range(b + 1, min(n, b + hi) + 1):
+            if c in beads:
+                h += 1
+            elif c - b >= lo:
+                outer = beads_to_partition(
+                    beads[:i - h] + [c] + beads[i - h:i] + beads[i + 1:])
+                out.append(RimHook(
+                    inner=lam, outer=outer, size=c - b, height=h,
+                    tail=(i + 1, b - k + i + 1),
+                    labels=tuple(range(b, c + 1)), tau=b))
     out.sort(key=lambda rh: (rh.size, rh.outer))
     return out
 
 
-def _hook_labels(outer, tail_col, size, k, n):
-    """L(outer/inner): the labels of the hook's southeast boundary in the
-    labeling of the outer shape, which form size+1 consecutive integers
-    starting at the column label of the tail column."""
-    _, col_label = boundary_labels(outer, k, n)
-    start = col_label[tail_col]
-    return tuple(range(start, start + size + 1))
-
-
 def rim_hook_removals(Lam, r):
-    """All inner shapes mu with Lam/mu a rim hook of size exactly r.
-
-    Mirror of the addition enumerator: a hook in rows r1..r2 forces
-    mu_j = Lam_{j+1} - 1 for r1 <= j < r2, leaving only the bottom row's
-    remaining length free, which the target size then pins down."""
+    """All inner shapes mu with Lam/mu a rim hook of size exactly r: one
+    bead b of Lam's beta-set moved down to a free position b - r >= 1."""
     Lam = normalize_partition(Lam)
-    rows = len(Lam)
+    beads = partition_to_beads(Lam, len(Lam))
     out = []
-    for r2 in range(1, rows + 1):
-        for r1 in range(r2, 0, -1):
-            mu = list(Lam)
-            ok = True
-            size_above = 0
-            for j in range(r1, r2):
-                forced = Lam[j] - 1  # Lam_{j+1} - 1, 0-based access
-                if forced < 0:
-                    ok = False
-                    break
-                mu[j - 1] = forced
-                size_above += Lam[j - 1] - forced
-            if not ok or size_above >= r:
-                if size_above >= r:
-                    break  # taller hooks through r2 only get bigger
-                continue
-            tail_need = r - size_above
-            below = Lam[r2] if r2 < rows else 0
-            bottom = Lam[r2 - 1] - tail_need
-            if bottom < below:
-                continue
-            mu[r2 - 1] = bottom
-            out.append(normalize_partition(tuple(mu)))
-    return sorted(set(out))
+    for i, b in enumerate(beads):
+        c = b - r
+        if c < 1 or c in beads:
+            continue
+        j = i + 1
+        while j < len(beads) and beads[j] > c:
+            j += 1
+        out.append(beads_to_partition(
+            beads[:i] + beads[i + 1:j] + [c] + beads[j:]))
+    out.sort()
+    return out
 
 
 def lift_path(steps, u, k):

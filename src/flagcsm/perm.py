@@ -1,6 +1,7 @@
 """Permutations of S_n in one-line notation, with the statistics the
-product rules consume: length, non-fixed set, k-height, Grassmannian
-encodings, and admissible-cycle enumeration.
+product rules consume: length, non-fixed set, k-height, the beta-set
+(bead) encoding of partitions behind Grassmannian permutations, and
+admissible-cycle enumeration.
 
 >>> Permutation.parse("23154").length()
 3
@@ -140,14 +141,32 @@ class Permutation:
         return tuple(word)
 
 
+def partition_to_beads(lam, m):
+    """The beta-set of lam padded to m rows: row i holds the bead
+    lam_i + m + 1 - i, so the list strictly decreases top-down.  For
+    m = k these are the first k values of the Grassmannian permutation,
+    and adding or removing an r-rim hook moves one bead by r."""
+    return [p + m - i for i, p in enumerate(lam)] + \
+        list(range(m - len(lam), 0, -1))
+
+
+def beads_to_partition(beads):
+    """Inverse of `partition_to_beads` on a strictly decreasing list,
+    with trailing zero parts stripped."""
+    m = len(beads)
+    lam = [b - m + i for i, b in enumerate(beads)]
+    while lam and not lam[-1]:
+        lam.pop()
+    return tuple(lam)
+
+
 def grassmannian_from_partition(lam, k, n):
     """The Grassmannian permutation w with descent at most k whose first k
-    values encode the partition: lam_i = w(k-i+1) - (k-i+1)."""
-    lam = tuple(lam) + (0,) * (k - len(lam))
+    values are the beads of the partition: lam_i = w(k-i+1) - (k-i+1)."""
     if len(lam) > k or (lam and lam[0] > n - k):
         raise ValueError("partition %r does not fit in %dx%d" % (lam, k, n - k))
-    first = [lam[k - j] + j for j in range(1, k + 1)]
-    if sorted(first) != first or len(set(first)) != k:
+    first = partition_to_beads(lam, k)[::-1]
+    if any(a >= b for a, b in zip(first, first[1:])):
         raise ValueError("partition is not weakly decreasing: %r" % (lam,))
     rest = sorted(set(range(1, n + 1)) - set(first))
     return Permutation(first + rest)
@@ -156,15 +175,9 @@ def grassmannian_from_partition(lam, k, n):
 def coset_decompose(w, k):
     """The unique w = w_lam . v with v in S_k x S_{n-k}; returns
     (lam, v) where lam is the partition Gr(w) in the k x (n-k) rectangle."""
-    n = w.n
     first = sorted(w.oneline[:k])
-    rest = sorted(w.oneline[k:])
-    wlam = Permutation(first + rest)
-    lam = tuple(first[k - i] - (k - i + 1) for i in range(1, k + 1))
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
-    v = wlam.inverse().compose(w)
-    return lam, v
+    wlam = Permutation(first + sorted(w.oneline[k:]))
+    return beads_to_partition(first[::-1]), wlam.inverse().compose(w)
 
 
 @lru_cache(maxsize=None)

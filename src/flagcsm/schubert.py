@@ -55,13 +55,6 @@ class CohClass:
             out.add(w, at_t0(c))
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return (self.basis == other.basis
-                and self.equivariant == other.equivariant
-                and self.coeffs == other.coeffs)
-
 
 def demazure_i(f, i, n):
     """The divided difference d_i on x_i, x_{i+1}."""

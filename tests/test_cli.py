@@ -66,6 +66,11 @@ def test_golden_grassmann():
                   "--n", "9", "--r", "3"], "grassmann_mn.txt")
 
 
+def test_golden_partition_graph():
+    check_golden(["graph", "--partitions", "--k", "3", "--n", "6"],
+                 "partition_graph_k3_n6.dot")
+
+
 def test_deterministic_across_runs():
     argv = ["mn", "--n", "4", "--k", "2", "--u", "2413", "--r", "2"]
     assert run(argv) == run(argv)

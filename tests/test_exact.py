@@ -125,6 +125,15 @@ def test_divide_exact_linear_rejects_nondivisible():
         divide_exact_linear(rg.t(1) + 1, rg.t(1) - rg.t(2))
 
 
+def test_divide_exact_linear_rejects_other_forms():
+    rg = ring(2)
+    t = rg.t
+    p = t(1) * t(2)
+    for form in (2 * t(1) - t(2), t(1) + t(2), t(1) * t(2) - 1, rg.const(3)):
+        with pytest.raises(ValueError):
+            divide_exact_linear(p, form)
+
+
 def test_divided_difference():
     rg = ring(2)
     x = rg.x

@@ -143,28 +143,54 @@ def test_hook_labels_via_moved_values():
                 assert rh.height == v.k_height(k)
 
 
-def test_rim_hook_removals_bruteforce():
-    def is_rim_hook(outer, inner):
-        inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-        cells = {(i + 1, j) for i, p in enumerate(outer)
-                 for j in range(inner[i] + 1, p + 1)}
-        if not cells:
-            return False
-        # connected (edgewise) and no 2x2 block
-        seen = set()
-        todo = [min(cells)]
-        seen.add(min(cells))
-        while todo:
-            (a, b) = todo.pop()
-            for nb in [(a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)]:
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    todo.append(nb)
-        if seen != cells:
-            return False
-        return not any((a + 1, b) in cells and (a, b + 1) in cells
-                       and (a + 1, b + 1) in cells for (a, b) in cells)
+def skew_cells(outer, inner):
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    return {(i + 1, j) for i, p in enumerate(outer)
+            for j in range(inner[i] + 1, p + 1)}
 
+
+def is_rim_hook(outer, inner):
+    cells = skew_cells(outer, inner)
+    if not cells:
+        return False
+    # connected (edgewise) and no 2x2 block
+    seen = set()
+    todo = [min(cells)]
+    seen.add(min(cells))
+    while todo:
+        (a, b) = todo.pop()
+        for nb in [(a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)]:
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    if seen != cells:
+        return False
+    return not any((a + 1, b) in cells and (a, b + 1) in cells
+                   and (a + 1, b + 1) in cells for (a, b) in cells)
+
+
+def test_rim_hook_additions_bruteforce():
+    for k in range(1, 4):
+        for cols in range(1, 5):
+            n = k + cols
+            shapes = all_partitions_in(k, cols)
+            for lam in shapes:
+                hooks = rim_hook_additions(lam, k, n)
+                brute = {mu for mu in shapes
+                         if len(mu) >= len(lam) and
+                         all(a <= b for a, b in zip(lam, mu)) and
+                         is_rim_hook(mu, lam)}
+                assert {rh.outer for rh in hooks} == brute, (lam, k, n)
+                for rh in hooks:
+                    cells = skew_cells(rh.outer, lam)
+                    rows = sorted({a for a, _ in cells})
+                    assert rh.size == len(cells)
+                    assert rh.height == rows[-1] - rows[0]
+                    assert rh.tail == min((a, b) for a, b in cells
+                                          if a == rows[-1])
+
+
+def test_rim_hook_removals_bruteforce():
     shapes = all_partitions_in(3, 4)
     for Lam in shapes:
         for r in (1, 2, 3, 4):
