@@ -93,6 +93,17 @@ def cmd_pieri(args, out):
 # The MN rules test every candidate cycle of length 2..r+1 in S_n, about
 # 6 us each (2-core VM): the 703,604 at n = 12, r = 6 take 4-5 s.
 MN_MAX_CYCLES = 2_000_000
+# An equivariant cycle of length m prints h_{r-m+1} on m values, at most
+# C(r, m-1) terms, about 1 us and 7 bytes each (2-core VM): a bound of
+# 2,505,760 (n = 5, r = 40) took 2.4 s at 98 MB.  n = 12, r = 6 stays in.
+MN_MAX_TERMS = 2_000_000
+
+
+def _refuse_over(cap, bound, command, unit):
+    """Refuse an input up front when a bound on its size exceeds cap."""
+    if bound > cap:
+        raise DomainError("%s supports at most %d %s: this input would take "
+                          "up to %d" % (command, cap, unit, bound))
 
 
 def cmd_mn(args, out):
@@ -109,6 +120,11 @@ def cmd_mn(args, out):
                           "r=%d would test %d"
                           % (MN_MAX_CYCLES, args.n, args.r, cycles))
     equivariant = args.equivariant == "on"
+    if equivariant:
+        _refuse_over(MN_MAX_TERMS, sum(
+            math.comb(args.n, m) * math.factorial(m - 1)
+            * math.comb(args.r, m - 1)
+            for m in range(2, min(args.r + 1, args.n) + 1)), "mn", "terms")
     rule = mn_csm if args.basis == "csm" else mn_schubert
     coh = rule(u, args.k, args.r, equivariant)
     header = "mn n=%d k=%d u=%s r=%d basis=%s equivariant=%s" \
@@ -119,11 +135,16 @@ def cmd_mn(args, out):
 
 # The S_n graph's DOT text grows about tenfold per step in n (15 MB at 8).
 GRAPH_MAX_N = 8
+# The partition graph has C(n, k) vertices: C(16, 8) = 12,870 wrote 27 MB in
+# 3.1 s at 125 MB, C(17, 8) = 24,310 59 MB in 7.5 s at 246 MB (2-core VM).
+PARTITION_GRAPH_MAX_SHAPES = 20_000
 
 
 def cmd_graph(args, out):
     _check_k(args.k, args.n)
     if args.partitions:
+        _refuse_over(PARTITION_GRAPH_MAX_SHAPES, math.comb(args.n, args.k),
+                     "graph --partitions", "vertices")
         out.write(_partition_graph_dot(args.k, args.n))
     elif args.n > GRAPH_MAX_N:
         raise DomainError("graph supports n <= %d: n=%d would write %d vertices"
@@ -223,6 +244,12 @@ def cmd_rht(args, out):
     return 0
 
 
+# `grassmann --op mn` prints at most k hooks of each size s <= r, each
+# with C(r, s) terms of h_{r-s}, about 3 us and 160 bytes each (2-core VM):
+# a bound of 1,047,370 (k = 2, n = 5, r = 60) took 3.3 s at 166 MB.
+GRASSMANN_MN_MAX_TERMS = 500_000
+
+
 def cmd_grassmann(args, out):
     from .grassmann import (
         fits_in_rectangle,
@@ -255,6 +282,10 @@ def cmd_grassmann(args, out):
             raise DomainError("mn needs --r")
         if args.r < 1:
             raise DomainError("r must be positive")
+        _refuse_over(GRASSMANN_MN_MAX_TERMS, sum(
+            args.k * math.comb(args.r, s)
+            for s in range(1, min(args.r, args.n - 1) + 1)),
+            "grassmann --op mn", "terms")
         table = parabolic_mn(lam, args.k, args.n, args.r)
         out.write("# grassmann mn lambda=%s k=%d n=%d r=%d\n"
                   % (partition_str(lam, args.k), args.k, args.n, args.r))

@@ -3,7 +3,7 @@
 1. direct enumeration by recursive hook stripping;
 2. an exact limit, at a primitive r-th root of unity, of the ratio of
    Schubert-class localizations specialized at t_i = z^i, each summed
-   box by box over the factorial Schur tableaux of the inner shape;
+   box by box over the factorial Schur tableaux (`symfun.tableau_sum`);
 3. the major-index generating function of standard Young tableaux
    evaluated at the root of unity, by a dynamic program over the
    intermediate shapes;
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import add
 
 from .exact import (
     CycloElt,
@@ -33,6 +34,7 @@ from .grassmann import (
     rim_hook_removals,
 )
 from .perm import grassmannian_from_partition
+from .symfun import tableau_sum
 
 
 @dataclass(frozen=True)
@@ -151,11 +153,11 @@ def y_poly(lam, Lam, k=None, n=None):
     of the outer shape, specialized t_i -> z^i: a univariate polynomial.
 
     It is the factorial Schur sum over semistandard tableaux of the inner
-    shape with entries <= k, localized box by box: a box (i, j) filled
-    with v gives z^{w(v)} - z^{v+j-i}, w the outer shape's Grassmannian
-    permutation, and a filling is dropped at its first zero factor.  At
-    the inner shape = outer shape it is the product of z^{w(a)} - z^{w(b)}
-    over the inversions a < b of w.
+    shape with entries <= k, localized box by box on coefficient lists
+    (`symfun.tableau_sum`): a box filled with v at content c gives
+    z^{w(v)} - z^{v+c}, w the outer shape's Grassmannian permutation, and
+    a filling is dropped at its first zero factor.  At inner = outer one
+    filling survives, and its product runs over the inversions of w.
 
     The ambient rectangle defaults to the smallest one containing the
     outer shape; the ratio used downstream is rectangle-independent."""
@@ -165,30 +167,13 @@ def y_poly(lam, Lam, k=None, n=None):
         raise ValueError("inner shape not contained in outer")
     k, n = _ambient(Lam, k, n)
     w = (0,) + grassmannian_from_partition(Lam, k, n).oneline
-    if lam == Lam:
-        out = [1]
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if w[a] > w[b]:
-                    out = _times_binomial(out, w[a], w[b])
-        return UPoly(out)
-    boxes = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
-    fill = {}
-    total = [0] * (n * len(boxes) + 1)  # each factor has degree <= n
+    total = [0] * (n * sum(lam) + 1)  # each factor has degree <= n
 
-    def place(m, partial):
-        if m == len(boxes):
-            for d, c in enumerate(partial):
-                total[d] += c
-            return
-        i, j = boxes[m]
-        lo = max(fill.get((i, j - 1), 1), fill.get((i - 1, j), 0) + 1)
-        for v in range(lo, k + 1):
-            if w[v] != v + j - i:
-                fill[i, j] = v
-                place(m + 1, _times_binomial(partial, w[v], v + j - i))
+    def leaf(partial):
+        total[:len(partial)] = map(add, total, partial)
 
-    place(0, [1])
+    tableau_sum(lam, k, [1], lambda partial, v, c: None if w[v] == v + c
+                else _times_binomial(partial, w[v], v + c), leaf)
     return UPoly(total)
 
 

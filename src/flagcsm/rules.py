@@ -15,8 +15,8 @@ from itertools import product
 
 from .bruhat import count_paths, moved_values, sigma_delta
 from .exact import ring
-from .perm import Permutation, cycles_through, grassmannian_from_partition
-from .schubert import CohClass, column_perm, double_schubert, localize, row_perm
+from .perm import cycles_through
+from .schubert import CohClass, grassmannian_restriction
 from .symfun import VarSubset, complete_sym, elem_sym, power_sum, schur_hook, ts
 
 
@@ -119,9 +119,9 @@ def pieri_schubertclass_csm(u, k, hook):
         raise ValueError("hook (alpha=%d, beta=%d) does not fit in %dx%d"
                          % (alpha, beta, k, n - k))
     rg = ring(n)
-    w_hook = grassmannian_from_partition((alpha + 1,) + (1,) * beta, k, n)
     out = CohClass("csm", True)
-    out.add(u, localize(double_schubert(w_hook), u))
+    out.add(u, grassmannian_restriction((alpha + 1,) + (1,) * beta,
+                                        u.oneline[:k], n))
 
     def coeff(sd, by_stats):
         acc = rg.zero
@@ -137,17 +137,6 @@ def pieri_schubertclass_csm(u, k, hook):
     return out
 
 
-def _completion_perm(values, m, n):
-    """A permutation whose image of [m] is the given sorted value set,
-    remaining values ascending afterwards; the localized class only sees
-    the first m positions, so any completion would do."""
-    values = sorted(values)
-    if len(values) != m:
-        raise ValueError("need exactly %d values" % m)
-    rest = sorted(set(range(1, n + 1)) - set(values))
-    return Permutation(values + rest)
-
-
 def pieri_eh_localized(u, k, r, kind):
     """Pieri rule for the one-column class c[k,r] (kind 'column') or the
     one-row class c'[k,r] (kind 'row'), with every coefficient produced
@@ -156,32 +145,30 @@ def pieri_eh_localized(u, k, r, kind):
     Decreasing (resp. increasing) paths of each length r' <= r pick out
     the endpoints; the coefficient at the endpoint w is the class
     c[k-r', r-r'] localized at any permutation mapping [k-r'] onto
-    Delta_k(u,w) (resp. c'[k+r', r-r'] at [k+r'] -> Sigma_k(u,w))."""
+    Delta_k(u,w) (resp. c'[k+r', r-r'] at [k+r'] -> Sigma_k(u,w)), which
+    `grassmannian_restriction` gives without building the class."""
     n = u.n
     if kind == "column":
         if r > k:
             raise ValueError("column class needs r <= k")
-        shape, class_perm, step = "decreasing", column_perm, -1
+        shape = "decreasing"
     elif kind == "row":
         if k + r > n:
             raise ValueError("row class needs k + r <= n")
-        shape, class_perm, step = "increasing", row_perm, 1
+        shape = "increasing"
     else:
         raise ValueError("kind must be 'column' or 'row'")
     out = CohClass("csm", True)
     A = range(1, k + 1)
     for rp in range(0, r + 1):
-        m = k + step * rp
+        lam = (1,) * (r - rp) if kind == "column" else (r - rp,)
         by_subset = {}  # one localization per Delta (column) or Sigma (row)
         for w in count_paths(u, k, (shape, rp), False):
             sd = sigma_delta(u, w, A)
             subset = sd.delta if kind == "column" else sd.sigma
-            c = by_subset.get(subset)
-            if c is None:
-                c = by_subset[subset] = localize(
-                    double_schubert(class_perm(m, r - rp, n)),
-                    _completion_perm(subset, m, n))
-            out.add(w, c)
+            if subset not in by_subset:
+                by_subset[subset] = grassmannian_restriction(lam, subset, n)
+            out.add(w, by_subset[subset])
     return out
 
 

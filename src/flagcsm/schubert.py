@@ -6,7 +6,9 @@ Every class is built by one memoized recursion down the weak order
 (`_lower`): class(w) = D_i class(w s_i) at an ascent i of w, from the
 point class at w0.  D_i is d_i for `double_schubert`, T_i for
 `csm.csm_class`, and the localized d_i or T_i for `localization_table`,
-which works on localization vectors and builds no representative.
+which works on localization vectors and builds no representative.  A
+Grassmannian class is localized directly, as a factorial Schur sum over
+tableaux (`grassmannian_restriction`).
 
 A class is determined by its localizations at the torus-fixed points
 (the permutations).  `interpolate` recovers the coefficients of a class
@@ -25,6 +27,7 @@ from math import prod
 from .exact import MPoly, at_t0, divide_exact_linear, divided_difference, \
     ring
 from .perm import Permutation, all_permutations, coset_decompose
+from .symfun import tableau_sum
 
 
 @dataclass
@@ -124,37 +127,40 @@ def _longest_schubert(n):
 
 def _grassmannian_tableau_schubert(w, k):
     """Double Schubert polynomial of a Grassmannian permutation with
-    descent at k, as the factorial Schur sum over semistandard tableaux:
-    each box (i, j) filled with v contributes (x_v - t_{v+j-i}).
+    descent at k: the factorial Schur sum over semistandard tableaux, a box
+    filled with v at content c giving x_v - t_{v+c}.  Each tableau's
+    product is built on its own from its (v, c) pairs."""
+    rg = ring(w.n)
+    tableaux = []
+    tableau_sum(coset_decompose(w, k)[0], k, (),
+                lambda pairs, v, c: pairs + ((v, c),), tableaux.append)
+    return sum((prod((rg.x(v) - rg.t(v + c) for v, c in pairs), start=rg.one)
+                for pairs in tableaux), rg.zero)
 
-    Equivalent to the divided-difference recursion but independent of n!,
-    so `double_schubert` uses it from n = 6 on, where the closed-form
-    rules and the rim-hook benchmark ask for Grassmannian classes of
-    large symmetric groups."""
-    from .symfun import _ssyt
 
-    n = w.n
+def grassmannian_restriction(lam, values, n):
+    """S_{w_lam}|_u for the Grassmannian permutation of lam with descent
+    at k = len(values), at any u whose first k values are `values`: the
+    factorial Schur sum over semistandard tableaux of lam with entries
+    <= k, a box filled with v at content c giving t_{u(v)} - t_{v+c},
+    a filling dropped at its first zero factor (Knutson-Tao)."""
     rg = ring(n)
-    lam, _ = coset_decompose(w, k)
-    out = rg.zero
-    for tab in _ssyt(lam, k):
-        term = rg.one
-        for i, row in enumerate(tab, start=1):
-            for j, v in enumerate(row, start=1):
-                term = term * (rg.x(v) - rg.t(v + j - i))
-        out = out + term
-    return out
+    products = []
+    tableau_sum(lam, len(values), rg.one,
+                lambda p, v, c: None if values[v - 1] == v + c
+                else p * (rg.t(values[v - 1]) - rg.t(v + c)), products.append)
+    return sum(products, rg.zero)
 
 
 def _schubert_leaf(w):
+    """The top polynomial at w0 and, from n = 6 on, the tableau formula at
+    a permutation with at most one descent.  No caller in this package
+    reaches the second: the rules use `grassmannian_restriction`."""
     if w == Permutation.longest(w.n):
         return _longest_schubert(w.n)
-    if w.n >= 6:
-        desc = w.descents()
-        if not desc:
-            return ring(w.n).one
-        if len(desc) == 1:
-            return _grassmannian_tableau_schubert(w, desc[0])
+    desc = w.descents()
+    if w.n >= 6 and len(desc) <= 1:
+        return _grassmannian_tableau_schubert(w, desc[0] if desc else 1)
     return None
 
 
@@ -164,7 +170,8 @@ def double_schubert(w):
 
     From n = 6 on, a permutation with at most one descent is a base case
     too (the tableau formula), so Grassmannian classes of large symmetric
-    groups never pass through the (huge) top polynomial."""
+    groups never pass through the (huge) top polynomial; any other
+    permutation at n >= 6 does, so its cost is unbounded there."""
     return _lower(_SCHUB_CACHE.setdefault(w.n, {}), w, _schubert_leaf,
                   demazure_i)
 
@@ -290,22 +297,6 @@ def giambelli_hook(alpha, beta, k, n):
                          * elem_sym(n, alpha - a2, t_range(k + alpha), sign=-1)
                          * complete_sym(n, beta - b2, t_range(k - beta), sign=-1))
     return out
-
-
-def column_perm(k, r, n):
-    """The Grassmannian permutation of the one-column partition (1^r)
-    with descent at k."""
-    from .perm import grassmannian_from_partition
-
-    return grassmannian_from_partition((1,) * r, k, n)
-
-
-def row_perm(k, r, n):
-    """The Grassmannian permutation of the one-row partition (r) with
-    descent at k."""
-    from .perm import grassmannian_from_partition
-
-    return grassmannian_from_partition((r,), k, n)
 
 
 def molev_class(kind, k, r, n):

@@ -1,4 +1,7 @@
-"""Symmetric-polynomial constructors on arbitrary variable subsets.
+"""Symmetric-polynomial constructors on arbitrary variable subsets, and
+`tableau_sum`, the one walk over semistandard tableaux behind every
+tableau sum in the package: Schur polynomials here, the Grassmannian
+classes of `schubert` and `rht.y_poly`.
 
 All constructors return `MPoly` values in the shared ring for the
 session's n; a subset of variables is a `VarSubset` naming x- or
@@ -122,34 +125,38 @@ def schur_hook(n, alpha, beta, vs):
     return out
 
 
-def _ssyt(shape, maxval):
-    """Semistandard tableaux of a partition shape with entries <= maxval,
-    as row tuples.  Desk scale only."""
-    shape = tuple(shape)
-    if not shape:
-        yield ()
-        return
+def tableau_sum(lam, k, start, times, leaf):
+    """Walk the semistandard tableaux of the partition lam with entries
+    <= k box by box along the rows, from the partial product `start`.
+    times(partial, v, c) multiplies in a box filled with v at content
+    c = j - i, or returns None for a zero factor, which drops every
+    filling below it; leaf(partial) receives each tableau's product.  An
+    entry leaves room for the strictly increasing column below it, so no
+    branch dead-ends."""
+    room = [k + 1 - sum(p > j for p in lam)  # k + 1 - column height
+            for j in range(max(lam, default=0))]
+    boxes = []  # (content, largest entry, index of the box left, above)
+    for i, part in enumerate(lam):
+        for j in range(part):
+            boxes.append((j - i, room[j] + i, len(boxes) - 1 if j else -2,
+                          len(boxes) - lam[i - 1] if i else -1))
+    fill = [0] * len(boxes) + [1, 0]  # sentinels: left of a row, above row 0
 
-    def fill(rows, r):
-        if r == len(shape):
-            yield tuple(rows)
+    def place(m, partial):
+        if m == len(boxes):
+            leaf(partial)
             return
-        width = shape[r]
-        above = rows[r - 1] if r > 0 else None
+        c, top, left, up = boxes[m]
+        lo = fill[left]
+        if fill[up] >= lo:
+            lo = fill[up] + 1
+        for v in range(lo, top + 1):
+            nxt = times(partial, v, c)
+            if nxt is not None:
+                fill[m] = v
+                place(m + 1, nxt)
 
-        def cells(row, c):
-            if c == width:
-                yield from fill(rows + [tuple(row)], r + 1)
-                return
-            lo = row[c - 1] if c > 0 else 1
-            if above is not None and c < len(above):
-                lo = max(lo, above[c] + 1)
-            for v in range(lo, maxval + 1):
-                yield from cells(row + [v], c + 1)
-
-        yield from cells([], 0)
-
-    yield from fill([], 0)
+    place(0, start)
 
 
 def schur_general(n, lam, vs):
@@ -158,16 +165,14 @@ def schur_general(n, lam, vs):
     rg = ring(n)
     lam = tuple(p for p in lam if p > 0)
     slots = vs.slots(rg)
-    if len(lam) > len(slots):
-        return rg.zero
-    if not lam:
-        return rg.one
     out = MPoly(rg.nvars)
-    for tab in _ssyt(lam, len(slots)):
-        e = [0] * rg.nvars
-        for row in tab:
-            for v in row:
-                e[slots[v - 1]] += 1
-        key = tuple(e)
-        out.terms[key] = out.terms.get(key, 0) + 1
+
+    def times(e, v, c):
+        s = slots[v - 1]
+        return e[:s] + (e[s] + 1,) + e[s + 1:]
+
+    def leaf(e):
+        out.terms[e] = out.terms.get(e, 0) + 1
+
+    tableau_sum(lam, len(slots), (0,) * rg.nvars, times, leaf)
     return out

@@ -6,14 +6,19 @@ flagcsm names inside their set-up and run methods
 benchmark runs; every such import is resolved here.  The `rules-large`
 workload checks its outputs against recorded digests; its cheapest items
 are replayed here, so that a change to the rules or to the printing
-shows in the tests."""
+shows in the tests.  `rules-large` set-up time is the import of
+`flagcsm.rules`, so the modules that import loads are pinned here."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import flagcsm
 from flagcsm.csm import oracle_product
 from flagcsm.perm import Permutation
 from flagcsm.symfun import schur_hook, x_range
@@ -65,3 +70,15 @@ def test_rules_large_reference_digests_replay():
         text, bad = rules_large.outputs(item)
         assert bad == []
         assert workloads._digest(text) == reference[rules_large.key(item)]
+
+
+def test_rules_import_loads_only_its_modules():
+    # a fresh interpreter, so that no other test has loaded a module
+    code = ("import sys, flagcsm.rules; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('flagcsm'))))")
+    src = os.path.dirname(os.path.dirname(flagcsm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert got == ["flagcsm"] + ["flagcsm." + m for m in sorted(
+        ("perm", "exact", "bruhat", "schubert", "symfun", "rules"))]

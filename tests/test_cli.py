@@ -233,6 +233,52 @@ def test_mn_refuses_many_cycles_up_front(monkeypatch, capsys):
     assert code == 0 and got.startswith("# mn n=12")
 
 
+def test_mn_refuses_many_terms_up_front(monkeypatch, capsys):
+    # r bounds the degree of every h_{r-r'}: the refusal must come before
+    # the rule runs.  n = 5, r = 60 would print up to 12,765,840 terms; the
+    # nonequivariant rule prints constants only and stays allowed
+    def no_rule(*args):
+        raise AssertionError("ran the rule before refusing")
+
+    monkeypatch.setattr("flagcsm.rules.mn_csm", no_rule)
+    code, got = run(["mn", "--n", "5", "--k", "2", "--u", "12345",
+                     "--r", "60"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "up to 12765840" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, got = run(["mn", "--n", "5", "--k", "2", "--u", "12345",
+                     "--r", "60", "--equivariant", "off"])
+    assert code == 0 and got.startswith("# mn n=5")
+
+
+def test_grassmann_mn_refuses_many_terms_up_front(monkeypatch, capsys):
+    # k = 2, n = 5, r = 60: 2 (C(60,1) + ... + C(60,4)) = 1,047,370 terms
+    def no_rule(*args):
+        raise AssertionError("ran the rule before refusing")
+
+    monkeypatch.setattr("flagcsm.grassmann.parabolic_mn", no_rule)
+    code, got = run(["grassmann", "--op", "mn", "--lam", "0", "--k", "2",
+                     "--n", "5", "--r", "60"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "up to 1047370" in capsys.readouterr().err
+
+
+def test_partition_graph_refuses_many_shapes_up_front(monkeypatch, capsys):
+    # C(30, 15) = 155,117,520 shapes are refused before any rim hook is
+    # listed; C(16, 8) = 12,870 stay allowed
+    def no_hooks(*args):
+        raise AssertionError("listed rim hooks before refusing")
+
+    monkeypatch.setattr("flagcsm.grassmann.rim_hook_additions", no_hooks)
+    code, got = run(["graph", "--partitions", "--k", "15", "--n", "30"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "up to 155117520" in capsys.readouterr().err
+    monkeypatch.setattr("flagcsm.grassmann.rim_hook_additions",
+                        lambda *args: [])
+    code, got = run(["graph", "--partitions", "--k", "8", "--n", "16"])
+    assert code == 0 and got.count(";\n") == 12870 + 1
+
+
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])

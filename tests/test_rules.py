@@ -22,13 +22,7 @@ from flagcsm.rules import (
     rigidity_lift_hook,
     rigidity_lift_powersum,
 )
-from flagcsm.schubert import (
-    CohClass,
-    column_perm,
-    double_schubert,
-    localize,
-    row_perm,
-)
+from flagcsm.schubert import CohClass, double_schubert, localize
 from flagcsm.symfun import (
     VarSubset,
     complete_sym,
@@ -332,11 +326,11 @@ def test_eh_localized_choice_independence():
     import itertools
 
     from flagcsm.bruhat import enumerate_paths, sigma_delta
-    from flagcsm.schubert import column_perm
 
     n, k, r = 4, 2, 2
     u = P("2143")
-    cls = double_schubert(column_perm(k - 1, r - 1, n))
+    cls = double_schubert(
+        grassmannian_from_partition((1,) * (r - 1), k - 1, n))
     for w in enumerate_paths(u, k, ("decreasing", 1)):
         delta = sigma_delta(u, w, range(1, k + 1)).delta
         rest = sorted(set(range(1, n + 1)) - set(delta))
@@ -479,10 +473,12 @@ def _ref_eh(u, k, r, kind):
         for w in count_paths(u, k, (shape, rp)):
             sd = sigma_delta(u, w, range(1, k + 1))
             if kind == "column":
-                cls = double_schubert(column_perm(k - rp, r - rp, n))
+                cls = double_schubert(grassmannian_from_partition(
+                    (1,) * (r - rp), k - rp, n))
                 head = sd.delta
             else:
-                cls = double_schubert(row_perm(k + rp, r - rp, n))
+                cls = double_schubert(grassmannian_from_partition(
+                    (r - rp,), k + rp, n))
                 head = sd.sigma
             rest = sorted(set(range(1, n + 1)) - set(head))
             want.add(w, localize(cls, Permutation(list(head) + rest)))

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from flagcsm.exact import MPoly, ring
 from flagcsm.perm import Permutation, all_permutations, grassmannian_from_partition
 from flagcsm.schubert import (
-    column_perm,
     demazure_i,
     diagonal_factors,
     double_schubert,
     expand_in_schubert,
     giambelli_hook,
+    grassmannian_restriction,
     localization_table,
     localize,
     molev_class,
-    row_perm,
 )
 from flagcsm.symfun import schur_general, x_range
 
@@ -251,10 +250,12 @@ def test_molev_classes():
     for k, r, n in [(2, 1, 4), (2, 2, 4), (1, 2, 4)]:
         if r <= k:
             got = expand_in_schubert(molev_class("column", k, r, n), n)
-            assert got.coeffs == {column_perm(k, r, n): ring(n).one}
+            w = grassmannian_from_partition((1,) * r, k, n)
+            assert got.coeffs == {w: ring(n).one}
         if k + r <= n:
             got = expand_in_schubert(molev_class("row", k, r, n), n)
-            assert got.coeffs == {row_perm(k, r, n): ring(n).one}
+            w = grassmannian_from_partition((r,), k, n)
+            assert got.coeffs == {w: ring(n).one}
 
 
 def test_grassmannian_fastpath_matches_chain():
@@ -269,3 +270,41 @@ def test_grassmannian_fastpath_matches_chain():
             if len(desc) != 1:
                 continue
             assert _grassmannian_tableau_schubert(w, desc[0]) == double_schubert(w)
+
+
+def _grassmannian_classes(n):
+    """(lam, k, w_lam) for every partition lam in every k x (n - k) box."""
+    from flagcsm.perm import coset_decompose
+
+    for w in all_permutations(n):
+        for k in range(1, n):
+            if all(w(i) < w(i + 1) for i in range(1, n) if i != k):
+                yield coset_decompose(w, k)[0], k, w
+
+
+def test_grassmannian_restriction_matches_divided_differences_s5():
+    # all 3,600 (class, point) pairs of S5, k = 1..4
+    pairs = 0
+    for lam, k, w in _grassmannian_classes(5):
+        cls = double_schubert(w)
+        for u in all_permutations(5):
+            assert grassmannian_restriction(lam, u.oneline[:k], 5) == \
+                localize(cls, u), (lam, k, u)
+            pairs += 1
+    assert pairs == 3600
+
+
+def test_grassmannian_restriction_matches_tableau_leaf_n6_n7():
+    # 1,320 sampled pairs against the factorial Schur polynomial in x and
+    # t, localized
+    from flagcsm.schubert import _grassmannian_tableau_schubert
+
+    rnd = random.Random(7)
+    for n in (6, 7):
+        classes = list(_grassmannian_classes(n))
+        perms = all_permutations(n)
+        for lam, k, w in rnd.sample(classes, 33):
+            cls = _grassmannian_tableau_schubert(w, k)
+            for u in rnd.sample(perms, 20):
+                assert grassmannian_restriction(lam, u.oneline[:k], n) == \
+                    localize(cls, u), (lam, k, u)

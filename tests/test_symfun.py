@@ -1,3 +1,5 @@
+from itertools import product
+
 from flagcsm.exact import MPoly, divided_difference, ring
 from flagcsm.symfun import (
     complete_sym,
@@ -5,6 +7,7 @@ from flagcsm.symfun import (
     power_sum,
     schur_general,
     schur_hook,
+    tableau_sum,
     ts,
     t_range,
     x_range,
@@ -174,3 +177,51 @@ def test_demazure_on_qz_quotient():
                 # the factor adds one q/z degree
                 assert _truncate_qz(lhs, n, trunc) == \
                     _truncate_qz(rhs, n, trunc)
+
+
+def _partitions_in(rows, cols):
+    if rows == 0:
+        yield ()
+        return
+    for first in range(cols, -1, -1):
+        for rest in _partitions_in(rows - 1, first):
+            yield tuple(p for p in (first,) + rest if p)
+
+
+def _brute_force_tableaux(lam, k):
+    """Every filling of lam by 1..k, as (value, content) pairs along the
+    rows, kept when its rows weakly increase and its columns strictly
+    increase.  Rows are filtered before they are combined."""
+    rows = [[row for row in product(range(1, k + 1), repeat=part)
+             if all(a <= b for a, b in zip(row, row[1:]))] for part in lam]
+    out = []
+    for fill in product(*rows):
+        if all(fill[i - 1][j] < fill[i][j]
+               for i in range(1, len(lam)) for j in range(lam[i])):
+            out.append(tuple((v, j - i) for i, row in enumerate(fill)
+                             for j, v in enumerate(row)))
+    return out
+
+
+def test_tableau_walk_matches_brute_force():
+    # every shape in a 3 x 4 box, entries up to 5: the walk visits exactly
+    # the semistandard fillings, each once, with the right contents
+    for lam in set(_partitions_in(3, 4)):
+        for k in range(1, 6):
+            got = []
+            tableau_sum(lam, k, (), lambda pairs, v, c: pairs + ((v, c),),
+                        got.append)
+            assert sorted(got) == sorted(_brute_force_tableaux(lam, k)), \
+                (lam, k)
+            assert len(set(got)) == len(got)
+
+
+def test_tableau_walk_drops_zero_factors():
+    # a None from times prunes the whole subtree: forbidding the value 1
+    # in the corner box leaves the tableaux whose corner is at least 2
+    lam, k = (2, 1), 3
+    got = []
+    tableau_sum(lam, k, (), lambda pairs, v, c: None if (v, c) == (1, 0)
+                else pairs + ((v, c),), got.append)
+    want = [t for t in _brute_force_tableaux(lam, k) if t[0][0] >= 2]
+    assert sorted(got) == sorted(want) and got
