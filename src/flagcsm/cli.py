@@ -137,6 +137,11 @@ def cmd_mn(args, out):
 GRAPH_MAX_N = 8
 # The partition graph has C(n, k) vertices: C(16, 8) = 12,870 wrote 27 MB in
 # 3.1 s at 125 MB, C(17, 8) = 24,310 59 MB in 7.5 s at 246 MB (2-core VM).
+# `grassmann --op pieri` steps through the same shapes, layer by layer: at
+# lam = 0 the slowest allowed cases took 7.6-10.0 s at 174-204 MB, k = 7,
+# n = 17 (hooks (9,6), (4,3)), k = 6, n = 18 ((11,5), (5,3)) and k = 5,
+# n = 20 ((7,4)).  A thin rectangle costs more per shape: k = 2, n = 100
+# (4,950 shapes), hook (3,1), took 21 s at 188 MB.
 PARTITION_GRAPH_MAX_SHAPES = 20_000
 
 
@@ -271,6 +276,8 @@ def cmd_grassmann(args, out):
         if args.alpha is None or args.beta is None:
             raise DomainError("pieri needs --alpha and --beta")
         _check_hook(args.alpha, args.beta)
+        _refuse_over(PARTITION_GRAPH_MAX_SHAPES, math.comb(args.n, args.k),
+                     "grassmann --op pieri", "shapes")
         table = parabolic_pieri(lam, args.k, args.n, (args.alpha, args.beta))
         out.write("# grassmann pieri lambda=%s k=%d n=%d alpha=%d beta=%d\n"
                   % (partition_str(lam, args.k), args.k, args.n,

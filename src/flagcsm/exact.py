@@ -188,29 +188,6 @@ class MPoly:
             out = out + term
         return out
 
-    def specialize(self, values):
-        """Substitute scalars for the slots in `values` (slot -> number)."""
-        out = {}
-        get = out.get
-        for e, c in self.terms.items():
-            f = list(e)
-            for i, v in values.items():
-                d = e[i]
-                if d:
-                    c = c * v ** d
-                    f[i] = 0
-            if c == 0:
-                continue
-            key = tuple(f)
-            s = get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        p = MPoly(self.nvars)
-        p.terms = out
-        return p
-
     def __repr__(self):
         return "MPoly(%s)" % canonical_str(self)
 
@@ -564,10 +541,6 @@ class CycloElt:
     def __init__(self, r, poly):
         self.r = r
         self.residue = poly % cyclotomic(r)
-
-    @classmethod
-    def zeta_power(cls, r, m):
-        return cls(r, UPoly.monomial(m % r))
 
     def is_zero(self):
         return self.residue.is_zero()

@@ -9,6 +9,10 @@ numbering the n unit steps 1..n; rows read bottom-to-top give the first
 k values of the Grassmannian permutation, columns the rest.  The row
 labels are the beads of lam's beta-set (`perm.partition_to_beads`), and
 adding or removing a rim hook of size r moves one bead by r.
+
+The parabolic Pieri rule counts chains of rim hooks by a forward pass
+over layers {(shape, last tail): number of chains}: its work grows with
+the shapes of the rectangle and their rim hooks, not with the chains.
 """
 
 from __future__ import annotations
@@ -205,27 +209,26 @@ def parabolic_pieri(lam, k, n, hook):
     """Nonequivariant CSM Pieri rule on the Grassmannian: the coefficient
     at mu counts chains of alpha+beta+1 rim hooks from lam to mu whose
     first beta+1 tails move strictly down and whose last alpha+1 tails
-    move strictly right."""
-    lam = normalize_partition(lam)
+    move strictly right.  The rest of a chain depends only on its shape
+    and last tail, so one forward pass carries layers {(shape, tail):
+    number of chains} and lists each shape's rim hooks once."""
     alpha, beta = hook
-    m = alpha + beta + 1
+    hooks = {}
+    layer = {(normalize_partition(lam), None): 1}
+    for depth in range(alpha + beta + 1):
+        axis = 0 if depth <= beta else 1
+        nxt = {}
+        for (cur, prev), count in layer.items():
+            if cur not in hooks:
+                hooks[cur] = [(rh.outer, rh.tail)
+                              for rh in rim_hook_additions(cur, k, n)]
+            for outer, tail in hooks[cur]:
+                if depth == 0 or tail[axis] > prev[axis]:
+                    nxt[outer, tail] = nxt.get((outer, tail), 0) + count
+        layer = nxt
     counts = {}
-
-    def rec(cur, depth, prev_tail):
-        if depth == m:
-            counts[cur] = counts.get(cur, 0) + 1
-            return
-        for rh in rim_hook_additions(cur, k, n):
-            if depth > 0:
-                if depth <= beta:
-                    if rh.tail[0] <= prev_tail[0]:
-                        continue
-                else:
-                    if rh.tail[1] <= prev_tail[1]:
-                        continue
-            rec(rh.outer, depth + 1, rh.tail)
-
-    rec(lam, 0, None)
+    for (mu, _), count in layer.items():
+        counts[mu] = counts.get(mu, 0) + count
     return dict(sorted(counts.items()))
 
 

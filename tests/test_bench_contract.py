@@ -1,6 +1,8 @@
 """The traced benchmark run reads the module caches by name
 (`bench/layers.py`); a cache that is renamed or reshaped silently drops
-its `cache.*` metric from the traced result.  The workloads import
+its `cache.*` metric from the traced result, so the traced result is
+rebuilt here from caches filled as the set-ups fill them and checked for
+every declared per-layer metric.  The workloads import
 flagcsm names inside their set-up and run methods
 (`bench/workloads.py`), so a deleted or renamed one fails only when the
 benchmark runs; every such import is resolved here.  The `rules-large`
@@ -12,6 +14,7 @@ shows in the tests.  `rules-large` set-up time is the import of
 import ast
 import importlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -23,8 +26,17 @@ from flagcsm.csm import oracle_product
 from flagcsm.perm import Permutation
 from flagcsm.symfun import schur_hook, x_range
 
-LAYERS = pathlib.Path(__file__).parent.parent / "bench" / "layers.py"
-WORKLOADS = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+ROOT = pathlib.Path(__file__).parent.parent
+LAYERS = ROOT / "bench" / "layers.py"
+TRACING = ROOT / "bench" / "tracing.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_cache_metrics_cover_every_cache():
@@ -40,6 +52,44 @@ def test_cache_metrics_cover_every_cache():
     assert {"cache.schub_entries", "cache.csm_entries", "cache.loc_entries",
             "cache.terms_held"} <= set(got)
     assert got["cache.loc_entries"] > 0
+
+
+def test_traced_result_line_holds_every_per_layer_metric():
+    # the caches filled as both set-ups fill them, at small sizes; a cache
+    # whose layout `layers.cache_metrics` cannot read drops its metric
+    import flagcsm.cli
+    import flagcsm.rht  # noqa: F401
+    import flagcsm.rules  # noqa: F401
+    from flagcsm.csm import csm_class
+    from flagcsm.perm import all_permutations, grassmannian_from_partition
+    from flagcsm.schubert import double_schubert
+
+    layers = _load("bench_layers", LAYERS)
+    tracing = _load("bench_tracing", TRACING)
+    for w in all_permutations(4):
+        csm_class(w)
+        double_schubert(w)
+    double_schubert(grassmannian_from_partition((2, 1), 3, 6))
+    g = schur_hook(4, 1, 0, x_range(2))
+    for basis in ("csm", "schubert"):
+        oracle_product(Permutation.parse("2143"), g, basis)
+
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        code = flagcsm.cli.main(["rht", "--outer", "2,2", "--r", "2",
+                                 "--method", "all"], out=io.StringIO())
+    finally:
+        tracer.restore()
+    assert code == 0
+    metrics = layers.metrics(tracer)
+    with open(ROOT / "BENCHMARK.json") as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    added_by_run = {"trace.wall_s", "trace.overhead_s", "trace.spans"}
+    assert added_by_run <= declared
+    assert sorted(declared - added_by_run - set(metrics)) == []
+    json.dumps({k: {"value": v, "unit": u}
+                for k, (v, u) in metrics.items()}, allow_nan=False)
 
 
 def test_workload_imports_resolve():

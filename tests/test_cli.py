@@ -279,6 +279,24 @@ def test_partition_graph_refuses_many_shapes_up_front(monkeypatch, capsys):
     assert code == 0 and got.count(";\n") == 12870 + 1
 
 
+def test_grassmann_pieri_refuses_many_shapes_up_front(monkeypatch, capsys):
+    # the forward pass steps through the shapes of the k x (n-k) rectangle:
+    # C(18, 9) = 48,620 are refused before the rule runs
+    def no_rule(*args):
+        raise AssertionError("ran the rule before refusing")
+
+    monkeypatch.setattr("flagcsm.grassmann.parabolic_pieri", no_rule)
+    code, got = run(["grassmann", "--op", "pieri", "--lam", "0", "--k", "9",
+                     "--n", "18", "--alpha", "0", "--beta", "0"])
+    assert code == EXIT_DOMAIN and got == ""
+    assert "up to 48620" in capsys.readouterr().err
+    monkeypatch.setattr("flagcsm.grassmann.parabolic_pieri",
+                        lambda *args: {(): 1})
+    code, got = run(["grassmann", "--op", "pieri", "--lam", "0", "--k", "8",
+                     "--n", "16", "--alpha", "0", "--beta", "0"])
+    assert code == 0 and got.endswith("\n0,0,0,0,0,0,0,0 1\n")
+
+
 def test_nonequivariant_table_output():
     code, got = run(["pieri", "--n", "4", "--k", "2", "--u", "1234",
                      "--alpha", "0", "--beta", "0", "--equivariant", "off"])

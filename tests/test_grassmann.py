@@ -257,6 +257,50 @@ def test_parabolic_pieri_rectangle_3x4_examples():
     }
 
 
+def listed_parabolic_pieri(lam, k, n, hook):
+    """Reference: the parabolic Pieri rule by listing every chain of
+    alpha+beta+1 rim hooks, first tails strictly down, then strictly
+    right."""
+    lam = normalize_partition(lam)
+    alpha, beta = hook
+    m = alpha + beta + 1
+    counts = {}
+
+    def rec(cur, depth, prev_tail):
+        if depth == m:
+            counts[cur] = counts.get(cur, 0) + 1
+            return
+        for rh in rim_hook_additions(cur, k, n):
+            if depth > 0:
+                if depth <= beta:
+                    if rh.tail[0] <= prev_tail[0]:
+                        continue
+                else:
+                    if rh.tail[1] <= prev_tail[1]:
+                        continue
+            rec(rh.outer, depth + 1, rh.tail)
+
+    rec(lam, 0, None)
+    return dict(sorted(counts.items()))
+
+
+def test_parabolic_pieri_matches_chain_listing():
+    # every shape and every hook (alpha < n-k, beta < k) of the rectangles
+    # with k, n-k <= 4; larger hooks have no chains
+    cases = 0
+    for k in range(1, 5):
+        for cols in range(1, 5):
+            n = k + cols
+            for lam in all_partitions_in(k, cols):
+                for hook in [(a, b) for a in range(cols) for b in range(k)]:
+                    got = parabolic_pieri(lam, k, n, hook)
+                    assert got == listed_parabolic_pieri(lam, k, n, hook), \
+                        (lam, k, n, hook)
+                    assert list(got) == sorted(got)
+                    cases += 1
+    assert cases == 2602
+
+
 def test_parabolic_mn_rectangle_4x5_example():
     k, n = 4, 9
     rg = ring(n)
