@@ -26,6 +26,12 @@ from dataclasses import dataclass
 
 from .perm import Permutation
 
+__all__ = [
+    "LabeledEdge", "LabeledPath", "NoPathError", "k_edges_from", "leq_k",
+    "SigmaDelta", "moved_values", "sigma_delta", "enumerate_paths",
+    "count_paths", "unique_unimodal_path", "export_dot"
+]
+
 
 @dataclass(frozen=True)
 class LabeledEdge:

@@ -22,6 +22,13 @@ from itertools import combinations
 from .exact import canonical_str
 from .perm import Permutation, beads_to_partition
 
+__all__ = [
+    "EXIT_USAGE", "EXIT_DOMAIN", "EXIT_INVARIANT", "EXIT_CONJECTURE",
+    "DomainError", "MN_MAX_CYCLES", "MN_MAX_TERMS", "GRAPH_MAX_N",
+    "PARTITION_GRAPH_MAX_SHAPES", "RHT_ENUMERATE_MAX_NODES",
+    "GRASSMANN_MN_MAX_TERMS", "SCAN_MAX_N", "main"
+]
+
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INVARIANT = 4
@@ -113,12 +120,10 @@ def cmd_mn(args, out):
     u = _parse_perm(args.u, args.n)
     if args.r < 1:
         raise DomainError("r must be positive")
-    cycles = sum(math.comb(args.n, m) * math.factorial(m - 1)
-                 for m in range(2, min(args.r + 1, args.n) + 1))
-    if cycles > MN_MAX_CYCLES:
-        raise DomainError("mn supports at most %d candidate cycles: n=%d "
-                          "r=%d would test %d"
-                          % (MN_MAX_CYCLES, args.n, args.r, cycles))
+    _refuse_over(MN_MAX_CYCLES, sum(
+        math.comb(args.n, m) * math.factorial(m - 1)
+        for m in range(2, min(args.r + 1, args.n) + 1)), "mn",
+        "candidate cycles")
     equivariant = args.equivariant == "on"
     if equivariant:
         _refuse_over(MN_MAX_TERMS, sum(

@@ -33,6 +33,11 @@ from .schubert import (
     localize,
 )
 
+__all__ = [
+    "dl_operator", "csm_class", "csm_class_nonequivariant", "expand_in_csm",
+    "oracle_product", "clear_caches"
+]
+
 
 def dl_operator(f, i, n):
     """T_i = -s_i + d_i on x_i, x_{i+1}: an involution satisfying the braid

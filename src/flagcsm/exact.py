@@ -12,6 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
+__all__ = [
+    "ExactnessError", "PoleError", "MPoly", "divided_difference",
+    "divide_exact_linear", "PolyRing", "ring", "canonical_str", "at_t0",
+    "UPoly", "cyclotomic", "CycloElt", "vanishing_order", "limit_ratio_at_root"
+]
+
 
 class ExactnessError(ArithmeticError):
     """A division that must be exact left a remainder.
@@ -161,32 +167,6 @@ class MPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    # -- structural operations
-
-    def substitute(self, mapping):
-        """Ring homomorphism sending slot i to mapping[i]; slots absent
-        from the mapping are fixed."""
-        out = MPoly(self.nvars)
-        pow_cache = {}
-        for e, c in self.terms.items():
-            term = MPoly.const(self.nvars, c)
-            for i, d in enumerate(e):
-                if not d:
-                    continue
-                if i in mapping:
-                    key = (i, d)
-                    img = pow_cache.get(key)
-                    if img is None:
-                        img = mapping[i] ** d
-                        pow_cache[key] = img
-                    term = term * img
-                else:
-                    f = [0] * self.nvars
-                    f[i] = d
-                    term = term * MPoly(self.nvars, {tuple(f): 1})
-            out = out + term
-        return out
 
     def __repr__(self):
         return "MPoly(%s)" % canonical_str(self)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .exact import ring
 from .perm import (
-    Permutation,
     beads_to_partition,
     coset_decompose,
     grassmannian_from_partition,
@@ -29,6 +28,12 @@ from .perm import (
 )
 
 from .symfun import VarSubset, complete_sym, power_sum
+
+__all__ = [
+    "parse_partition", "normalize_partition", "partition_str",
+    "fits_in_rectangle", "contains", "RimHook", "rim_hook_additions",
+    "rim_hook_removals", "pushforward", "parabolic_pieri", "parabolic_mn"
+]
 
 
 def parse_partition(text):
@@ -66,41 +71,6 @@ def contains(outer, inner):
     if any(p > 0 for p in inner[len(outer):]):
         return False
     return all(b <= a for a, b in zip(outer, inner))
-
-
-def boundary_labels(lam, k, n):
-    """Labels 1..n along the southeast boundary of lam inside k x (n-k):
-    returns (row_label, col_label) dicts, rows indexed 1..k top-down and
-    columns 1..n-k.  Row i of the diagram receives the label of its
-    east-edge step; doubling as a second Grassmannian constructor."""
-    if not fits_in_rectangle(lam, k, n):
-        raise ValueError("%r does not fit in %dx%d" % (lam, k, n - k))
-    full = tuple(lam) + (0,) * (k - len(lam))
-    row_label = {}
-    col_label = {}
-    label = 0
-    c = 0
-    for i in range(k, 0, -1):  # rows bottom-up
-        while c < full[i - 1]:
-            c += 1
-            label += 1
-            col_label[c] = label
-        label += 1
-        row_label[i] = label
-    while c < n - k:
-        c += 1
-        label += 1
-        col_label[c] = label
-    return row_label, col_label
-
-
-def grassmannian_from_labels(lam, k, n):
-    """w_lam reconstructed from the boundary walk: w(i) is the label of
-    row k+1-i for i <= k, then the column labels."""
-    row_label, col_label = boundary_labels(lam, k, n)
-    first = [row_label[k + 1 - i] for i in range(1, k + 1)]
-    rest = [col_label[c] for c in range(1, n - k + 1)]
-    return Permutation(first + rest)
 
 
 @dataclass(frozen=True)
@@ -163,29 +133,6 @@ def rim_hook_removals(Lam, r):
             beads[:i] + beads[i + 1:j] + [c] + beads[j:]))
     out.sort()
     return out
-
-
-def lift_path(steps, u, k):
-    """The unique lift of a labeled partition path to the k-Bruhat graph
-    on S_n starting at u (which must satisfy Gr(u) = the first shape):
-    each step is matched by the single k-edge with its label and shape."""
-    from .bruhat import LabeledPath, k_edges_from
-
-    n = u.n
-    lam0 = steps[0].inner if steps else None
-    if steps and coset_decompose(u, k)[0] != normalize_partition(lam0):
-        raise ValueError("u does not lie over the first shape")
-    edges = []
-    cur = u
-    for rh in steps:
-        matches = [e for e in k_edges_from(cur, k)
-                   if e.tau == rh.tau
-                   and coset_decompose(e.target, k)[0] == rh.outer]
-        if len(matches) != 1:
-            raise AssertionError("lift not unique: %d matches" % len(matches))
-        edges.append(matches[0])
-        cur = matches[0].target
-    return LabeledPath(tuple(edges))
 
 
 def pushforward(expansion, k):

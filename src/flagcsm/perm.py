@@ -14,6 +14,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
+__all__ = [
+    "Permutation", "partition_to_beads", "beads_to_partition",
+    "grassmannian_from_partition", "coset_decompose", "all_permutations",
+    "cycles_through"
+]
+
 
 class Permutation:
     """A permutation of {1..n}, stored as its one-line tuple."""
@@ -121,25 +127,6 @@ class Permutation:
         ol = self.oneline
         return tuple(i + 1 for i in range(len(ol) - 1) if ol[i] > ol[i + 1])
 
-    # -- words
-
-    def reduced_word(self):
-        """Deterministic reduced word (i1,...,il) with
-        self = s_{i1} . s_{i2} . ... . s_{il}, stripped off by repeatedly
-        removing the leftmost descent."""
-        word = []
-        ol = list(self.oneline)
-        while True:
-            for i in range(len(ol) - 1):
-                if ol[i] > ol[i + 1]:
-                    ol[i], ol[i + 1] = ol[i + 1], ol[i]
-                    word.append(i + 1)
-                    break
-            else:
-                break
-        word.reverse()
-        return tuple(word)
-
 
 def partition_to_beads(lam, m):
     """The beta-set of lam padded to m rows: row i holds the bead
@@ -196,15 +183,6 @@ def _cycle_tuples(n, min_len, max_len):
             lead, rest = support[0], support[1:]
             for tail in permutations(rest):
                 yield (lead,) + tail
-
-
-def all_cycles(n, min_len=2, max_len=None):
-    """All cycles in S_n of the given lengths, each in canonical form
-    (minimum element of the support first), in a deterministic order."""
-    if max_len is None:
-        max_len = n
-    return [(cyc, Permutation.from_cycle(cyc, n))
-            for cyc in _cycle_tuples(n, min_len, max_len)]
 
 
 def cycles_through(u, k, max_len):

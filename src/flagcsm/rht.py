@@ -36,6 +36,12 @@ from .grassmann import (
 from .perm import grassmannian_from_partition
 from .symfun import tableau_sum
 
+__all__ = [
+    "RimHookTableau", "enumerate_rht", "enumeration_nodes", "rht_sign",
+    "y_poly", "rht_count_limit", "rht_count_maj", "hook_lengths",
+    "rht_count_hook"
+]
+
 
 @dataclass(frozen=True)
 class RimHookTableau:

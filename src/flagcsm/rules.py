@@ -19,6 +19,12 @@ from .perm import cycles_through
 from .schubert import CohClass, grassmannian_restriction
 from .symfun import VarSubset, complete_sym, elem_sym, power_sum, schur_hook, ts
 
+__all__ = [
+    "pieri_hook_csm", "pieri_hook_schubert", "pieri_schubertclass_csm",
+    "pieri_eh_localized", "mn_csm", "mn_schubert", "rigidity_lift_hook",
+    "rigidity_lift_powersum"
+]
+
 
 def _hook_fits(alpha, beta, k, n):
     return beta + 1 <= k and alpha + 1 <= n - k

@@ -29,6 +29,12 @@ from .exact import MPoly, at_t0, divide_exact_linear, divided_difference, \
 from .perm import Permutation, all_permutations, coset_decompose
 from .symfun import tableau_sum
 
+__all__ = [
+    "CohClass", "demazure_i", "localize", "grassmannian_restriction",
+    "double_schubert", "diagonal_factors", "localization_table", "interpolate",
+    "expand_in_schubert"
+]
+
 
 @dataclass
 class CohClass:
@@ -273,76 +279,3 @@ def expand_in_schubert(f, n):
     return interpolate("schubert",
                        {u: localize(f, u) for u in all_permutations(n)})
 
-
-def giambelli_hook(alpha, beta, k, n):
-    """A representative of the Schubert class of the hook-shape
-    Grassmannian permutation built from hook Schur polynomials: the
-    x-free term is the single Schubert polynomial of the inverse
-    permutation evaluated at -t, and each smaller hook contributes an
-    e/h correction at negated t-variables."""
-    from .perm import grassmannian_from_partition
-    from .symfun import complete_sym, elem_sym, schur_hook, t_range, x_range
-
-    lam = (alpha + 1,) + (1,) * beta
-    w_hook = grassmannian_from_partition(lam, k, n)  # raises on overflow
-    rg = ring(n)
-
-    single = at_t0(double_schubert(w_hook.inverse()))
-    single = single.substitute({rg.x_slot(i): -rg.t(i) for i in range(1, n + 1)})
-
-    out = single
-    for a2 in range(alpha + 1):
-        for b2 in range(beta + 1):
-            out = out + (schur_hook(n, a2, b2, x_range(k))
-                         * elem_sym(n, alpha - a2, t_range(k + alpha), sign=-1)
-                         * complete_sym(n, beta - b2, t_range(k - beta), sign=-1))
-    return out
-
-
-def molev_class(kind, k, r, n):
-    """Chern/Segre-type representatives of the one-column and one-row
-    Grassmannian Schubert classes, produced in both displayed forms and
-    asserted equal:
-
-      column: sum over 1<=i_1<...<i_r<=k of prod (x_{i_j} - t_{i_j-j+1})
-            = sum_{i+j=r} e_i(x_[k]) h_j(-t_[k-r+1])
-      row:    sum over 1<=i_1<=...<=i_r<=k of prod (x_{i_j} - t_{i_j+j-1})
-            = sum_{i+j=r} h_i(x_[k]) e_j(-t_[k+r-1])
-    """
-    from itertools import combinations, combinations_with_replacement
-
-    from .symfun import complete_sym, elem_sym, t_range, x_range
-
-    rg = ring(n)
-    if kind == "column":
-        if r > k or k >= n:
-            raise ValueError("no column permutation c[%d,%d] in S_%d" % (k, r, n))
-        direct = rg.zero
-        for idx in combinations(range(1, k + 1), r):
-            term = rg.one
-            for j, i in enumerate(idx, start=1):
-                term = term * (rg.x(i) - rg.t(i - j + 1))
-            direct = direct + term
-        eh = rg.zero
-        for i in range(r + 1):
-            eh = eh + elem_sym(n, i, x_range(k)) \
-                * complete_sym(n, r - i, t_range(k - r + 1), sign=-1)
-    elif kind == "row":
-        if k + r > n:
-            raise ValueError("no row permutation c'[%d,%d] in S_%d" % (k, r, n))
-        direct = rg.zero
-        for idx in combinations_with_replacement(range(1, k + 1), r):
-            term = rg.one
-            for j, i in enumerate(idx, start=1):
-                term = term * (rg.x(i) - rg.t(i + j - 1))
-            direct = direct + term
-        eh = rg.zero
-        for i in range(r + 1):
-            eh = eh + complete_sym(n, i, x_range(k)) \
-                * elem_sym(n, r - i, t_range(k + r - 1), sign=-1)
-    else:
-        raise ValueError("kind must be 'column' or 'row'")
-    if direct != eh:
-        raise AssertionError("the two displayed forms disagree for %s[%d,%d]"
-                             % (kind, k, r))
-    return direct

@@ -1,7 +1,7 @@
 """Symmetric-polynomial constructors on arbitrary variable subsets, and
 `tableau_sum`, the one walk over semistandard tableaux behind every
-tableau sum in the package: Schur polynomials here, the Grassmannian
-classes of `schubert` and `rht.y_poly`.
+tableau sum in the package: the Grassmannian classes of `schubert` and
+`rht.y_poly`.
 
 All constructors return `MPoly` values in the shared ring for the
 session's n; a subset of variables is a `VarSubset` naming x- or
@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .exact import MPoly, ring
+
+__all__ = [
+    "VarSubset", "ts", "x_range", "t_range", "elem_sym", "complete_sym",
+    "power_sum", "schur_hook", "tableau_sum"
+]
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,6 @@ class VarSubset:
     def slots(self, rg):
         pick = rg.x_slot if self.kind == "x" else rg.t_slot
         return [pick(i) for i in self.indices]
-
-
-def xs(*indices):
-    return VarSubset("x", indices)
 
 
 def ts(*indices):
@@ -157,22 +158,3 @@ def tableau_sum(lam, k, start, times, leaf):
                 place(m + 1, nxt)
 
     place(0, start)
-
-
-def schur_general(n, lam, vs):
-    """Schur polynomial of any partition on the subset, by summing over
-    semistandard tableaux.  Intended for tests and small shapes."""
-    rg = ring(n)
-    lam = tuple(p for p in lam if p > 0)
-    slots = vs.slots(rg)
-    out = MPoly(rg.nvars)
-
-    def times(e, v, c):
-        s = slots[v - 1]
-        return e[:s] + (e[s] + 1,) + e[s + 1:]
-
-    def leaf(e):
-        out.terms[e] = out.terms.get(e, 0) + 1
-
-    tableau_sum(lam, len(slots), (0,) * rg.nvars, times, leaf)
-    return out

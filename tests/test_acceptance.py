@@ -18,7 +18,6 @@ from flagcsm.grassmann import (
 )
 from flagcsm.perm import (
     Permutation,
-    all_cycles,
     all_permutations,
     grassmannian_from_partition,
 )
@@ -35,6 +34,7 @@ from flagcsm.rules import (
 from flagcsm.rht import enumerate_rht, rht_count_hook, rht_count_limit, rht_count_maj
 from flagcsm.schubert import double_schubert, expand_in_schubert, localize
 from flagcsm.symfun import power_sum, schur_hook, x_range
+from reference import all_cycles
 
 
 def P(s):

@@ -15,7 +15,8 @@ from flagcsm.bruhat import (
     sigma_delta,
     unique_unimodal_path,
 )
-from flagcsm.perm import Permutation, all_cycles, all_permutations, cycles_through
+from flagcsm.perm import Permutation, all_permutations, cycles_through
+from reference import all_cycles
 
 
 def P(s):

@@ -226,7 +226,7 @@ def test_mn_refuses_many_cycles_up_front(monkeypatch, capsys):
     code, got = run(["mn", "--n", "14", "--k", "7",
                      "--u", ",".join(map(str, range(1, 15))), "--r", "10"])
     assert code == EXIT_DOMAIN and got == ""
-    assert "would test 1782868113" in capsys.readouterr().err
+    assert "up to 1782868113" in capsys.readouterr().err
     monkeypatch.setattr("flagcsm.rules.cycles_through", lambda *args: [])
     code, got = run(["mn", "--n", "12", "--k", "6",
                      "--u", ",".join(map(str, range(1, 13))), "--r", "6"])
@@ -295,6 +295,40 @@ def test_grassmann_pieri_refuses_many_shapes_up_front(monkeypatch, capsys):
     code, got = run(["grassmann", "--op", "pieri", "--lam", "0", "--k", "8",
                      "--n", "16", "--alpha", "0", "--beta", "0"])
     assert code == 0 and got.endswith("\n0,0,0,0,0,0,0,0 1\n")
+
+
+_MN = ["mn", "--n", "4", "--k", "2", "--u", "1234", "--r", "2"]
+
+
+@pytest.mark.parametrize("cap, argv, bound", [
+    # cycles of length 2..3 in S_4: C(4,2) + 2 C(4,3) = 14
+    ("MN_MAX_CYCLES", _MN, 14),
+    # each prints h_{r-m+1} on m values: 2 C(4,2) + 2 C(4,3) = 20 terms
+    ("MN_MAX_TERMS", _MN, 20),
+    # C(4, 2) = 6 shapes in the 2 x 2 rectangle
+    ("PARTITION_GRAPH_MAX_SHAPES",
+     ["graph", "--partitions", "--k", "2", "--n", "4"], 6),
+    ("PARTITION_GRAPH_MAX_SHAPES",
+     ["grassmann", "--op", "pieri", "--lam", "0", "--k", "2", "--n", "4",
+      "--alpha", "0", "--beta", "0"], 6),
+    # k (C(2,1) + C(2,2)) = 6 terms
+    ("GRASSMANN_MN_MAX_TERMS",
+     ["grassmann", "--op", "mn", "--lam", "0", "--k", "2", "--n", "4",
+      "--r", "2"], 6),
+    ("RHT_ENUMERATE_MAX_NODES",
+     ["rht", "--outer", "2,2", "--r", "2", "--method", "enumerate"], 5),
+    ("GRAPH_MAX_N", ["graph", "--n", "3", "--k", "1"], 3),
+    ("SCAN_MAX_N", ["scan-positivity", "--n", "2"], 2),
+])
+def test_each_cap_admits_its_bound(monkeypatch, capsys, cap, argv, bound):
+    # a cap set to an input's exact bound admits it; one less refuses it
+    monkeypatch.setattr("flagcsm.cli." + cap, bound)
+    code, got = run(argv)
+    assert code == 0 and got
+    monkeypatch.setattr("flagcsm.cli." + cap, bound - 1)
+    code, got = run(argv)
+    assert code == EXIT_DOMAIN and got == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_nonequivariant_table_output():

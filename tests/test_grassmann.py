@@ -1,8 +1,5 @@
 from flagcsm.exact import ring
 from flagcsm.grassmann import (
-    boundary_labels,
-    grassmannian_from_labels,
-    lift_path,
     normalize_partition,
     parabolic_mn,
     parabolic_pieri,
@@ -20,6 +17,7 @@ from flagcsm.perm import (
 )
 from flagcsm.rules import mn_schubert, pieri_hook_csm
 from flagcsm.symfun import VarSubset, complete_sym
+from reference import boundary_labels, grassmannian_from_labels, lift_path
 
 
 def all_partitions_in(k, cols):

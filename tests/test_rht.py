@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,7 +11,7 @@ from flagcsm.exact import (
     ring,
 )
 from flagcsm.grassmann import contains
-from flagcsm.perm import grassmannian_from_partition
+from flagcsm.perm import all_permutations, grassmannian_from_partition
 from flagcsm.rht import (
     enumerate_rht,
     hook_lengths,
@@ -20,7 +21,8 @@ from flagcsm.rht import (
     rht_sign,
     y_poly,
 )
-from flagcsm.schubert import double_schubert, localize
+from flagcsm.schubert import localization_table
+from reference import billey_localizations
 
 
 def all_partitions_in(k, cols):
@@ -55,21 +57,21 @@ def standard_tableaux_maj(Lam, lam):
     return out
 
 
+@lru_cache(maxsize=None)
+def _billey_at(Lam, k, n):
+    """Billey's formula at the fixed point of the outer shape, t_i -> z^i:
+    {w: S_w|_{w_Lam}} as univariate polynomials."""
+    return billey_localizations(
+        grassmannian_from_partition(Lam, k, n),
+        lambda p, q: UPoly.monomial(p) - UPoly.monomial(q), UPoly([1]))
+
+
 def reference_y_poly(lam, Lam, k, n):
-    """y_poly's definition taken literally: the double Schubert polynomial
-    of the inner shape, localized at the outer shape's fixed point, with
-    t_i -> z^i."""
-    loc = localize(double_schubert(grassmannian_from_partition(lam, k, n)),
-                   grassmannian_from_partition(Lam, k, n))
-    rg = ring(n)
-    t_slots = [rg.t_slot(i) for i in range(1, n + 1)]
-    coeffs = {}
-    for e, c in loc.terms.items():
-        d = sum(i * e[s] for i, s in enumerate(t_slots, start=1))
-        assert sum(e) == sum(e[s] for s in t_slots), "non-t variable left"
-        coeffs[d] = coeffs.get(d, 0) + c
-    top = max(coeffs, default=-1)
-    return UPoly([coeffs.get(d, 0) for d in range(top + 1)])
+    """y_poly's definition, the Schubert class of the inner shape localized
+    at the outer shape's fixed point with t_i -> z^i, by Billey's formula:
+    a sum over subwords of a reduced word, not over tableaux."""
+    return _billey_at(Lam, k, n).get(grassmannian_from_partition(lam, k, n),
+                                     UPoly())
 
 
 def skew_pairs(k, cols, r):
@@ -138,6 +140,15 @@ def test_maj_count_matches_listing():
 
 
 def test_y_poly_matches_localized_double_schubert():
+    # the reference first meets the localization tables on S4 and S5
+    for n in (4, 5):
+        rg = ring(n)
+        perms = all_permutations(n)
+        tables = {w: localization_table("schubert", w) for w in perms}
+        for v in perms:
+            want = {w: tables[w][v] for w in perms if v in tables[w]}
+            assert billey_localizations(
+                v, lambda p, q: rg.t(p) - rg.t(q), rg.one) == want, v
     for k, cols in ((3, 3), (4, 4), (2, 5)):
         for Lam, lam in all_skews(k, cols):
             dk = max(len(Lam), 1)
