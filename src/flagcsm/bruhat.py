@@ -120,7 +120,7 @@ def _edges(ol, k, cover_only, lo=0, hi=None):
 
 def k_edges_from(u, k, cover_only=False):
     """All k-edges with source u, each carrying tau = u(a) and a cover flag."""
-    return [LabeledEdge(u, Permutation(w), a, b, tau, cover)
+    return [LabeledEdge(u, Permutation._of(w), a, b, tau, cover)
             for a, b, tau, w, cover in _edges(u.oneline, k, cover_only)]
 
 
@@ -220,6 +220,7 @@ def _walk(u, k, shape, cover_only, visit):
             steps.pop()
 
     rec(u, None, 0, 0)
+    del rec  # rec holds itself: free the walk now, not at the next GC
 
 
 def enumerate_paths(u, k, shape, cover_only=False):
@@ -248,7 +249,8 @@ def enumerate_paths(u, k, shape, cover_only=False):
     def visit(v, steps, inc, dec):
         edges, src = [], u
         for a, b, tau, w, cover in steps:
-            edges.append(LabeledEdge(src, Permutation(w), a, b, tau, cover))
+            edges.append(LabeledEdge(src, Permutation._of(w), a, b, tau,
+                                     cover))
             src = edges[-1].target
         grouped.setdefault(src, []).append(LabeledPath(tuple(edges)))
 
@@ -268,7 +270,7 @@ def count_paths(u, k, shape, cover_only=False):
         by_stats[inc, dec] += 1
 
     _walk(u.oneline, k, shape, cover_only, visit)
-    return {Permutation(v): c for v, c in sorted(counts.items())}
+    return {Permutation._of(v): c for v, c in sorted(counts.items())}
 
 
 def unique_unimodal_path(u, eta, k):

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from itertools import combinations
 
 from .exact import canonical_str
@@ -372,7 +373,10 @@ def cmd_scan_positivity(args, out):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each subcommand's function is bound here."""
     top = argparse.ArgumentParser(
         prog="flagcsm",
         description="Exact CSM/Schubert class products in the type-A flag "

@@ -42,14 +42,21 @@ class MPoly:
     Variables live in a fixed universe of ``nvars`` slots; an exponent
     vector is an int tuple of that length.  For the rings used in this
     package the slots are x1..xn, t1..tn in that order (see `PolyRing`).
-    Instances are immutable by convention: every operation returns a new
-    polynomial.  No zero coefficients are stored.
+    No zero coefficients are stored.
+
+    Instances are immutable: every operation returns a new polynomial,
+    and ``terms`` is written only while an instance is being built, by
+    `__init__` on ``self`` or by a function on an ``MPoly(...)`` it made
+    itself (tests/test_immutability_lint.py checks this over the
+    package).  So `canonical_str` memoizes its text on the instance, in
+    ``_text``, the first time it renders it.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_text")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
+        self._text = None
         if terms:
             self.terms = {e: c for e, c in terms.items() if c != 0}
         else:
@@ -325,7 +332,17 @@ def _coef_str(c):
 def canonical_str(p):
     """Canonical printing: graded order, ties broken x1<..<xn<t1<..<tn
     (terms sorted by the key (sum(e), tuple(-d for d in e))); monomials
-    like ``c*x1^2*t3`` with ^1 omitted and unit coefficients elided."""
+    like ``c*x1^2*t3`` with ^1 omitted and unit coefficients elided.
+
+    The text is rendered once per instance and kept on it (see `MPoly`),
+    so coefficients that rules share between endpoints render once."""
+    text = p._text
+    if text is None:
+        text = p._text = _canonical_text(p)
+    return text
+
+
+def _canonical_text(p):
     if not p.terms:
         return "0"
     names = ring(p.nvars // 2).var_names

@@ -33,6 +33,14 @@ class Permutation:
         self.oneline = ol
 
     @classmethod
+    def _of(cls, oneline):
+        """The permutation of a one-line tuple already known to be one,
+        not checked again."""
+        p = object.__new__(cls)
+        p.oneline = oneline
+        return p
+
+    @classmethod
     def parse(cls, text):
         """Accepts digit strings ("23154", n <= 9) and comma form
         ("2,3,1,5,4")."""

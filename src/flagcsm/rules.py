@@ -69,8 +69,13 @@ def _pieri_hook(u, k, hook, equivariant, cover_only, basis):
         # only the paths with in = alpha and de = beta are counted
         counts = count_paths(u, k, ("peakless", alpha, beta), cover_only)
         counts.pop(u, None)
+        consts = {}  # one constant per distinct count, for this call
         for w, by_stats in counts.items():
-            out.add(w, rg.const(by_stats[alpha, beta]))
+            c = by_stats[alpha, beta]
+            const = consts.get(c)
+            if const is None:
+                const = consts[c] = rg.const(c)
+            out.add(w, const)
         return out
     out.add(u, schur_hook(n, alpha, beta, _diag_subset(u, k)))
     _add_per_key(out, u, range(1, k + 1),
@@ -201,7 +206,10 @@ def _mn(u, k, r, equivariant, basis):
     if equivariant:
         out.add(u, power_sum(n, r, _diag_subset(u, k)))
     lu = u.length()
-    h_by_moved = {}  # h_{r-r'} per moved set; r' = len(moved) - 1
+    # the coefficients of this call, shared between endpoints: +-h_{r-r'}
+    # per (moved set, sign), r' = len(moved) - 1; nonequivariantly +-1
+    h_by_moved = {}
+    signs = {1: rg.const(1), -1: rg.const(-1)}
     for cyc, eta in cycles_through(u, k, r):
         rp = len(cyc) - 1
         w = u.compose(eta)
@@ -209,13 +217,14 @@ def _mn(u, k, r, equivariant, basis):
             continue
         sign = -1 if eta.k_height(k) % 2 else 1
         if equivariant:
-            moved = tuple(sorted(u(i) for i in eta.nonfixed_set()))
-            h = h_by_moved.get(moved)
+            key = (tuple(sorted(u(i) for i in eta.nonfixed_set())), sign)
+            h = h_by_moved.get(key)
             if h is None:
-                h = h_by_moved[moved] = complete_sym(n, r - rp, ts(*moved))
-            out.add(w, h if sign > 0 else -h)
+                h = complete_sym(n, r - rp, ts(*key[0]))
+                h = h_by_moved[key] = h if sign > 0 else -h
+            out.add(w, h)
         elif rp == r:
-            out.add(w, rg.const(sign))
+            out.add(w, signs[sign])
     return out
 
 

@@ -59,9 +59,17 @@ class CohClass:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].oneline)
 
     def specialize_t0(self):
+        """The class at t = 0.  Endpoints that share a coefficient object
+        share its specialization: one `at_t0` per object, memoized for
+        this call."""
         out = CohClass(self.basis, False)
+        memo = {}
         for w, c in self.coeffs.items():
-            out.add(w, at_t0(c))
+            c0 = memo.get(id(c))
+            if c0 is None:
+                c0 = memo[id(c)] = at_t0(c)
+            if c0.terms:
+                out.coeffs[w] = c0
         return out
 
 

@@ -158,3 +158,4 @@ def tableau_sum(lam, k, start, times, leaf):
                 place(m + 1, nxt)
 
     place(0, start)
+    del place  # place holds itself: free the walk now, not at the next GC

@@ -238,7 +238,7 @@ def all_cycles(n, min_len=2, max_len=None):
 
 # -- localizations
 
-def billey_localizations(v, root, one):
+def billey_localizations(v, root, one, target=None):
     """The localizations {w: S_w|_v} at the fixed point v of every double
     Schubert class, by Billey's formula (Duke Math. J. 96, 1999), zero
     values left out.  Along the reduced word a_1..a_l of v, letter j
@@ -247,19 +247,30 @@ def billey_localizations(v, root, one):
     over the subwords that are reduced words of w, the product of their
     letters' roots.  One pass over the word carries {product of the
     letters kept: sum of their root products}, starting from `one` at the
-    identity."""
+    identity.
+
+    With a target w only {w: S_w|_v} is wanted, so only the products x
+    that a reduced word of w passes through are carried: those below w
+    in the right weak order, whose inverted value pairs w inverts too.
+    A kept letter a inverts the values x(a) < x(a+1), so it is kept only
+    when w has x(a+1) before x(a)."""
     n = v.n
     sums = {Permutation.identity(n): one}
     prefix = Permutation.identity(n)
+    if target is not None:
+        where = target.inverse()
     for a in reduced_word(v):
         s = Permutation.transposition(a, a + 1, n)
         weight = root(prefix(a + 1), prefix(a))
         nxt = dict(sums)
         for u, val in sums.items():
             if u(a) < u(a + 1):
+                if target is not None and where(u(a)) < where(u(a + 1)):
+                    continue
                 us = u.compose(s)
                 term = val * weight
                 nxt[us] = term if us not in nxt else nxt[us] + term
         sums = nxt
         prefix = prefix.compose(s)
-    return {w: val for w, val in sums.items() if not val.is_zero()}
+    return {w: val for w, val in sums.items()
+            if not val.is_zero() and target in (None, w)}

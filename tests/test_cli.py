@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -339,3 +342,16 @@ def test_nonequivariant_table_output():
     assert lines[0] == "diagonal 1234 0"
     for ln in lines[1:]:
         assert ln.split()[1] == "1"
+
+
+def test_parser_built_once_survives_a_usage_error():
+    argv = ["rht", "--outer", "3,3", "--r", "2", "--method", "all"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(
+        __file__).resolve().parent.parent / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "flagcsm.cli"] + argv,
+                           capture_output=True, text=True, check=True,
+                           env=env).stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["rht", "--outer", "3,3", "--r", "two"])
+    assert exc.value.code == 2
+    assert run(argv) == (0, fresh)

@@ -419,3 +419,14 @@ def test_canonical_str_matches_per_term_reference(p):
 def test_at_t0_is_specialization_at_zero(p):
     zero = {_RG5.t_slot(i): MPoly(_RG5.nvars) for i in range(1, 6)}
     assert at_t0(p) == substitute(p, zero)
+
+
+@given(_print_polys)
+def test_canonical_str_renders_once_per_instance(p):
+    text = canonical_str(p)
+    assert canonical_str(p) is text
+    assert text == canonical_str(MPoly(p.nvars, dict(p.terms)))
+    # a polynomial built from p renders its own terms, not p's memo
+    x1 = _RG5.x(1)
+    for q in (p + x1, -p, p * x1, at_t0(p)):
+        assert canonical_str(q) == _canonical_str_per_term(q)

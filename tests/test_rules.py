@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from flagcsm.bruhat import count_paths, moved_values, sigma_delta
 from flagcsm.csm import oracle_product
-from flagcsm.exact import ring
+from flagcsm.exact import MPoly, canonical_str, ring
 from flagcsm.perm import (
     Permutation,
     all_permutations,
@@ -512,6 +512,59 @@ def test_rules_match_per_endpoint_reference_near_identity():
             if k + rr <= u.n:
                 assert pieri_eh_localized(u, k, rr, "row") == \
                     _ref_eh(u, k, rr, "row")
+
+
+SHARING_CASES = [("1324657", 3, (1, 1), 3), ("2134576", 4, (2, 1), 2)]
+
+
+def _expansions_n7(u, k, hook, r):
+    """Every expansion of the n = 7 sharing tests: the hook Pieri and MN
+    rules in both bases and with and without t, and both localized
+    Pieri rules."""
+    out = [rule(u, k, hook, eq) for rule in (pieri_hook_csm,
+                                             pieri_hook_schubert)
+           for eq in (True, False)]
+    out += [rule(u, k, r, eq) for rule in (mn_csm, mn_schubert)
+            for eq in (True, False)]
+    out += [pieri_eh_localized(u, k, r, "column"),
+            pieri_eh_localized(u, k, r, "row")]
+    return out
+
+
+def test_shared_coefficients_render_as_fresh_copies_n7():
+    for text, k, hook, r in SHARING_CASES:
+        for coh in _expansions_n7(P(text), k, hook, r):
+            for c in coh.coeffs.values():
+                got = canonical_str(c)
+                assert got == canonical_str(MPoly(c.nvars, dict(c.terms)))
+                assert canonical_str(c) is got
+
+
+def test_nonequivariant_rules_share_one_object_per_value():
+    endpoints = objects = 0
+    for text, k, hook, r in SHARING_CASES:
+        u = P(text)
+        for coh in (pieri_hook_csm(u, k, hook, False),
+                    pieri_hook_schubert(u, k, hook, False),
+                    mn_csm(u, k, r, False), mn_schubert(u, k, r, False)):
+            values = coh.coeffs.values()
+            ids = {id(c) for c in values}
+            assert len(ids) == len(set(values))
+            endpoints += len(values)
+            objects += len(ids)
+    assert (endpoints, objects) == (529, 13)
+
+
+def test_specialize_t0_shares_what_its_class_shares():
+    for text, k, hook, r in SHARING_CASES:
+        u = P(text)
+        for eq, ne in ((pieri_hook_csm(u, k, hook), pieri_hook_csm(
+                u, k, hook, False)), (mn_csm(u, k, r), mn_csm(u, k, r, False))):
+            spec = eq.specialize_t0()
+            spec.coeffs.pop(u, None)
+            assert spec.coeffs == ne.coeffs
+            ids = {id(c) for c in eq.coeffs.values()}
+            assert len({id(c) for c in spec.coeffs.values()}) <= len(ids)
 
 
 # the rules against the oracle on random (u, k, hook, r) at n <= 5; the

@@ -15,8 +15,8 @@ from flagcsm.schubert import (
     localize,
 )
 from flagcsm.symfun import x_range
-from reference import giambelli_hook, molev_class, reduced_word, \
-    schur_general, substitute
+from reference import billey_localizations, giambelli_hook, molev_class, \
+    reduced_word, schur_general, substitute
 
 
 def P(s):
@@ -291,17 +291,28 @@ def test_grassmannian_restriction_matches_divided_differences_s5():
     assert pairs == 3600
 
 
-def test_grassmannian_restriction_matches_tableau_leaf_n6_n7():
-    # 1,320 sampled pairs against the factorial Schur polynomial in x and
-    # t, localized
-    from flagcsm.schubert import _grassmannian_tableau_schubert
+def test_billey_pruned_to_one_target_matches_the_full_sum_s5():
+    rg = ring(5)
+    perms = all_permutations(5)
+    for v in random.Random(5).sample(perms, 12):
+        full = billey_localizations(v, lambda p, q: rg.t(p) - rg.t(q), rg.one)
+        for w in perms:
+            got = billey_localizations(
+                v, lambda p, q: rg.t(p) - rg.t(q), rg.one, w)
+            assert got == ({w: full[w]} if w in full else {}), (v, w)
 
+
+def test_grassmannian_restriction_matches_billey_n6_n7():
+    # 1,320 sampled pairs against Billey's formula, a sum over subwords of
+    # a reduced word of the point that walks no tableau
     rnd = random.Random(7)
     for n in (6, 7):
+        rg = ring(n)
         classes = list(_grassmannian_classes(n))
         perms = all_permutations(n)
         for lam, k, w in rnd.sample(classes, 33):
-            cls = _grassmannian_tableau_schubert(w, k)
             for u in rnd.sample(perms, 20):
+                want = billey_localizations(
+                    u, lambda p, q: rg.t(p) - rg.t(q), rg.one, w)
                 assert grassmannian_restriction(lam, u.oneline[:k], n) == \
-                    localize(cls, u), (lam, k, u)
+                    want.get(w, rg.zero), (lam, k, u)
